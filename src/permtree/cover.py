@@ -31,7 +31,7 @@ import numpy as np
 from .codec import TreeCode, decode
 from .errors import NotATreeError
 from .perm import Permutation, build_graph
-from .stats import Moments, run_lengths
+from .stats import Moments, run_lengths, toss_runs
 from .structure import ordered_spine
 
 
@@ -290,19 +290,7 @@ def gamma_from_tosses(heads: Sequence[bool]) -> int:
 
 def batch_gamma(heads: np.ndarray) -> np.ndarray:
     """Vectorized :func:`gamma_from_tosses` over rows of a toss matrix."""
-    rows, length = heads.shape
-    if length < 1:
-        raise ValueError("need at least one toss per row (trees of size >= 4)")
-    idx = np.arange(length, dtype=np.int32)
-    last_tail = np.maximum.accumulate(np.where(~heads, idx, np.int32(-1)), axis=1)
-    offsets = idx - last_tail
-    odd_far = (heads & (offsets >= 3) & (offsets % 2 == 1)).sum(axis=1, dtype=np.int64)
-    run_starts = ~heads
-    run_starts[:, 1:] &= heads[:, :-1]
-    total = run_starts.sum(axis=1, dtype=np.int64) + odd_far
-    total += heads[:, 0]
-    total += heads[:, -1]
-    return total
+    return toss_runs(heads).cover_number()
 
 
 def gamma_code(code: TreeCode) -> int:

@@ -12,10 +12,10 @@ boundaries or worker count.  All aggregation is exact integer arithmetic
 so a report is a pure function of its configuration: identical config,
 identical bytes, regardless of parallelism.
 
-Statistics are extracted from the sampled code bits by the vectorized
-coin-sequence kernels in :mod:`permtree.stats` and :mod:`permtree.cover`;
-every theoretical number placed in a report comes from those modules'
-closed-form operations.
+Statistics are extracted from the sampled code bits through one run-length
+encoding per chunk (:func:`permtree.stats.toss_runs`) and its projections;
+every theoretical number placed in a report comes from the closed-form
+operations of :mod:`permtree.stats` and :mod:`permtree.cover`.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ _DOMAIN = {
     "sample": 8,
 }
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 56
 
 MAXDEG_K_RANGE = tuple(range(-2, 7))
@@ -76,9 +76,11 @@ def substream(seed: int, domain: int | str, index: int) -> np.random.Generator:
     """Independent per-sample generator from (seed, domain, index)."""
     if isinstance(domain, str):
         domain = _DOMAIN[domain]
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError("seed must lie in [0, 2**64)")
     if not 0 <= index < _MAX_INDEX:
         raise ValueError("sample index out of the 56-bit range")
-    key = np.array([seed & _MASK64, ((domain & 0xFF) << 56) | index], dtype=np.uint64)
+    key = np.array([seed, ((domain & 0xFF) << 56) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -120,6 +122,8 @@ class ExperimentConfig:
             object.__setattr__(self, "statistic", aliases[self.statistic])
         if self.statistic not in STATISTICS:
             raise InvalidConfigError(f"unknown statistic {self.statistic!r}")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise InvalidConfigError("seed must lie in [0, 2**64)")
         if self.samples < 1:
             raise InvalidConfigError("samples must be >= 1")
         if self.samples > _MAX_INDEX:
@@ -229,22 +233,23 @@ def _compute_chunk(task: tuple) -> dict:
     bits = np.empty((count, n - 2), dtype=np.uint8)
     for i in range(count):
         bits[i] = random_bits(substream(seed, domain, start + i), n - 2)
+    # each matrix is dropped once the next form exists: the chunk's matrices
+    # set the process's peak memory
     heads = _stats.tosses_from_codes(bits)
+    del bits
 
-    if stat == STAT_LEAVES:
-        return {"values": n - 1 - _stats.batch_head_count(heads)}
-    if stat == STAT_DIAM:
-        return {"values": _stats.batch_head_count(heads) + 2}
+    if stat in (STAT_LEAVES, STAT_DIAM):
+        head_count = heads.sum(axis=1, dtype=np.int64)
+        return {"values": n - 1 - head_count if stat == STAT_LEAVES else head_count + 2}
+    runs = _stats.toss_runs(heads)
+    del heads
     if stat == STAT_MAXDEG:
-        return {"values": _stats.batch_longest_tail_run(heads).astype(np.int64) + 2}
+        return {"values": runs.longest_tail_run() + 2}
     if stat == STAT_GAMMA:
-        return {"values": _cover.batch_gamma(heads)}
+        return {"values": runs.cover_number()}
     if stat == STAT_DCENSUS:
-        counts = _stats.batch_degree_counts(heads, n, kmax)
-        windows = np.stack(
-            [_stats.batch_window_counts(heads, k) for k in range(1, WINDOW_K_MAX + 1)],
-            axis=1,
-        )
+        counts = runs.degree_counts(n, kmax)
+        windows = runs.window_counts(WINDOW_K_MAX)
         return {
             "dsum": counts.sum(axis=0),
             "dsumsq": (counts * counts).sum(axis=0),
@@ -252,7 +257,7 @@ def _compute_chunk(task: tuple) -> dict:
             "wsumsq": (windows * windows).sum(axis=0),
         }
     if stat == STAT_DCOV:
-        counts = _stats.batch_degree_counts(heads, n, m)
+        counts = runs.degree_counts(n, m)
         return {
             "dsum": counts.sum(axis=0),
             "dd": counts.T @ counts,
@@ -431,13 +436,25 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(uniq, cnt)}
 
 
-def _pmf_window(config: ExperimentConfig, values: np.ndarray, pmf_fn, mean: float, sd: float, lo_support: int, hi_support: int) -> dict[int, float]:
-    """Theory pmf over the observed range widened to +-8 standard deviations."""
-    lo = min(int(values.min()), math.floor(mean - 8 * sd))
-    hi = max(int(values.max()), math.ceil(mean + 8 * sd))
-    lo = max(lo, lo_support)
-    hi = min(hi, hi_support)
-    return {v: float(pmf_fn(config.n, v)) for v in range(lo, hi + 1)}
+def _binomial_pmf_window(n: int, values: np.ndarray, mean: float, sd: float) -> dict[int, float]:
+    """Law 2 + Binomial(n-3, 1/2) over the observed range widened to +-8 sd.
+
+    Leaves and diameter share it: their laws reflect into each other and the
+    binomial is symmetric.  One ``math.comb`` opens the window and the exact
+    recurrence C(N, j+1) = C(N, j) (N-j) / (j+1) walks it, so every entry is
+    the exact binomial coefficient over 2^N, as in :func:`stats.leaves_pmf`.
+    """
+    lo = max(min(int(values.min()), math.floor(mean - 8 * sd)), 2)
+    hi = min(max(int(values.max()), math.ceil(mean + 8 * sd)), max(n - 1, 2))
+    big_n = n - 3
+    denom = 1 << big_n
+    pmf = {}
+    c = math.comb(big_n, lo - 2)
+    for v in range(lo, hi + 1):
+        pmf[v] = c / denom
+        j = v - 2
+        c = c * (big_n - j) // (j + 1)
+    return pmf
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +470,7 @@ def _scalar_law_report(config: ExperimentConfig, values: np.ndarray) -> tuple[di
     hist = _histogram(values)
     count = values.size
 
-    if config.statistic == STAT_LEAVES:
-        pmf_fn = _stats.leaves_pmf
-        th_mean, th_var = (n + 1) / 2, (n - 3) / 4 if n >= 3 else 0.0
-        lo_s, hi_s = 2, max(n - 1, 2)
-    else:
-        pmf_fn = _stats.diameter_pmf
-        th_mean, th_var = (n + 1) / 2, (n - 3) / 4 if n >= 3 else 0.0
-        lo_s, hi_s = 2, max(n - 1, 2)
+    th_mean, th_var = (n + 1) / 2, (n - 3) / 4 if n >= 3 else 0.0
     if n == 2:
         # unique tree: leaf count 2, diameter 1
         const = 2 if config.statistic == STAT_LEAVES else 1
@@ -468,7 +478,7 @@ def _scalar_law_report(config: ExperimentConfig, values: np.ndarray) -> tuple[di
         th_mean, th_var = float(const), 0.0
     else:
         sd = math.sqrt(max(th_var, 1.0))
-        pmf = _pmf_window(config, values, pmf_fn, th_mean, sd, lo_s, hi_s)
+        pmf = _binomial_pmf_window(n, values, th_mean, sd)
 
     tests = [
         _z_test(
@@ -682,13 +692,3 @@ def run_experiment(config: ExperimentConfig) -> StatReport:
         verdict=verdict,
     )
 
-
-def empirical_dcov(n: int, samples: int, m: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Sample covariance matrix of (D_1..D_m)/sqrt(n) over fresh substreams."""
-    config = ExperimentConfig(
-        n=n, samples=samples, seed=seed, statistic=STAT_DCOV, m=m, workers=workers
-    )
-    parts = _gather(config)
-    dsum = np.sum([p["dsum"] for p in parts], axis=0).astype(np.float64)
-    dd = np.sum([p["dd"] for p in parts], axis=0).astype(np.float64)
-    return (dd - np.outer(dsum, dsum) / samples) / (samples - 1) / n

@@ -19,10 +19,15 @@ variances of bounded-window counts, the limit covariance of the degree
 vector, and the run statistics of geometric samples) are exercised against
 exhaustive enumeration and seeded simulation by the test suite.
 
-Scalar functions operate on single sequences; the ``batch_*`` kernels take
-a boolean matrix of tosses (True = heads, one row per sample) and are the
-vectorized workhorses of the Monte Carlo harness.  The two routes are
-independent implementations and are tested against each other.
+Scalar functions operate on single sequences.  The vectorized route takes
+a boolean matrix of tosses (True = heads, one row per sample):
+:func:`toss_runs` encodes it once into the maximal runs of every row, and
+every coin statistic the Monte Carlo harness needs is a short projection of
+that one encoding (head count, longest tail run, tail-run histogram, window
+counts, degree census, cover number).  The ``batch_*`` functions are the
+same projections taken straight from a toss matrix.  The scalar scans
+(:func:`coin_stats`, :func:`run_lengths`, ``cover.gamma_from_tosses``) are
+independent implementations and serve as the oracles for the projections.
 """
 from __future__ import annotations
 
@@ -55,8 +60,10 @@ class DegreeCensus:
     counts: dict[int, int]
 
     def __post_init__(self):
-        assert sum(self.counts.values()) == self.n
-        assert sum(k * c for k, c in self.counts.items()) == 2 * (self.n - 1)
+        if sum(self.counts.values()) != self.n:
+            raise ValueError(f"degree counts {self.counts} do not add up to n = {self.n}")
+        if sum(k * c for k, c in self.counts.items()) != 2 * (self.n - 1):
+            raise ValueError(f"degrees {self.counts} do not sum to 2(n-1) for n = {self.n}")
 
     def get(self, k: int) -> int:
         return self.counts.get(k, 0)
@@ -425,7 +432,7 @@ def geometric_runs_variance_rate(q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels over toss matrices (rows = samples, True = heads)
+# Run-length encoding of toss matrices (rows = samples, True = heads)
 # ---------------------------------------------------------------------------
 
 
@@ -436,63 +443,192 @@ def tosses_from_codes(bits: np.ndarray) -> np.ndarray:
     return bits[:, 1:] != bits[:, :-1]
 
 
+# The encoder takes rows in blocks of about this many tosses, so positions
+# within a block fit in int32 and its temporaries stay O(block) whatever the
+# matrix size.
+_BLOCK_TOSSES = 1 << 20
+
+
+@dataclass(frozen=True)
+class TossRuns:
+    """Run-length encoding of a toss matrix (rows = samples, True = heads).
+
+    ``length`` and ``tail`` describe every maximal constant run of every
+    row, in row-major order; row i owns the runs ``start[i]:start[i + 1]``.
+    Each method is one projection of the encoding, one value (or one
+    histogram row) per toss row.
+    """
+
+    width: int
+    length: np.ndarray  # int32 run lengths
+    tail: np.ndarray  # True for a run of tails
+    start: np.ndarray  # int64 run offsets, one per row plus the end
+
+    @property
+    def rows(self) -> int:
+        return self.start.size - 1
+
+    def _row_reduce(self, ufunc: np.ufunc, per_run: np.ndarray, dtype=None) -> np.ndarray:
+        if per_run.size == 0:  # zero-width rows own no runs
+            return np.zeros(self.rows, dtype=np.int64)
+        return ufunc.reduceat(per_run, self.start[:-1], dtype=dtype).astype(np.int64)
+
+    def _row_sum(self, per_run: np.ndarray) -> np.ndarray:
+        # no row sums past its width < 2^31: int32 accumulation spares the
+        # int64 copy of the whole input that np.add.reduceat makes by default
+        if per_run.dtype == bool:
+            per_run = per_run.view(np.int8)
+        return self._row_reduce(np.add, per_run, np.int32)
+
+    def _row_histogram(self, mask: np.ndarray, lo: int, columns: int) -> np.ndarray:
+        """(rows, columns) counts of the runs in ``mask`` by length lo .. lo+columns-1."""
+        sel = mask & (self.length >= lo)
+        sel &= self.length < lo + columns
+        row = np.repeat(np.arange(self.rows, dtype=np.int32), self._row_sum(sel))
+        row *= columns
+        row += np.compress(sel, self.length)
+        row -= lo
+        counts = np.bincount(row, minlength=self.rows * columns)
+        return counts.reshape(self.rows, columns)
+
+    def head_count(self) -> np.ndarray:
+        return self._row_sum(np.where(self.tail, 0, self.length))
+
+    def tail_runs(self) -> np.ndarray:
+        """Number of maximal tail runs."""
+        return self._row_sum(self.tail)
+
+    def longest_tail_run(self) -> np.ndarray:
+        """Longest run of tails, 0 for an all-heads row (Schilling 1990)."""
+        return self._row_reduce(np.maximum, np.where(self.tail, self.length, 0))
+
+    def tail_run_histogram(self, rmax: int) -> np.ndarray:
+        """Column r-1 counts the maximal tail runs of length exactly r, r = 1 .. rmax."""
+        return self._row_histogram(self.tail, 1, rmax)
+
+    def window_counts(self, kmax: int) -> np.ndarray:
+        """Column k-1 counts the windows H T^(k-1) H, k = 1 .. kmax.
+
+        For k >= 2 these are the interior tail runs (neither first nor last
+        in the row) of length k-1; k = 1 counts adjacent heads, the head
+        runs' lengths less one.
+        """
+        interior = self.tail.copy()
+        if interior.size:
+            interior[self.start[:-1]] = False
+            interior[self.start[1:] - 1] = False
+        out = self._row_histogram(interior, 0, kmax)
+        adjacent_heads = self.length - 1
+        adjacent_heads *= ~self.tail
+        out[:, 0] = self._row_sum(adjacent_heads)
+        return out
+
+    def degree_counts(self, n: int, kmax: int) -> np.ndarray:
+        """Degree census columns D_1 .. D_kmax for trees of size n.
+
+        A size-k block of the coupled code is one degree-(k+1) vertex and a
+        size-k block with k >= 2 is a tail run of length k-1.
+        """
+        if self.width != n - 3:
+            raise ValueError(f"expected n-3 = {n - 3} tosses per row, got {self.width}")
+        out = np.zeros((self.rows, kmax), dtype=np.int64)
+        nblocks = 1 + self.head_count()
+        out[:, 0] = n - nblocks
+        if kmax >= 2:
+            out[:, 1] = nblocks - self.tail_runs()
+        if kmax >= 3:
+            out[:, 2:] = self.tail_run_histogram(kmax - 2)
+        return out
+
+    def cover_number(self) -> np.ndarray:
+        """Cover number per row; :func:`permtree.cover.gamma_from_tosses` per run.
+
+        A tail run counts one, a head run of length L counts floor((L-1)/2),
+        and each row end that is a head counts one.
+        """
+        if self.width < 1:
+            raise ValueError("need at least one toss per row (trees of size >= 4)")
+        odd_far_heads = self.length - 1
+        odd_far_heads >>= 1
+        odd_far_heads *= ~self.tail
+        total = self._row_sum(odd_far_heads) + self.tail_runs()
+        total += ~self.tail[self.start[:-1]]
+        total += ~self.tail[self.start[1:] - 1]
+        return total
+
+
+def toss_runs(heads: np.ndarray) -> TossRuns:
+    """Encode every row of a toss matrix into its maximal constant runs.
+
+    Rows are taken in blocks of about ``_BLOCK_TOSSES`` tosses.  A run
+    starts wherever a toss differs from its predecessor and at every row
+    start; its kind follows from the row's first toss by alternation.
+    """
+    rows, width = heads.shape
+    # a row holds at most ``width`` runs; the pages past the last run written
+    # are never touched and the final resize gives them back
+    length = np.empty(rows * width, dtype=np.int32)
+    tail = np.empty(rows * width, dtype=bool)
+    start = np.zeros(rows + 1, dtype=np.int64)
+    used = 0
+    step = max(1, _BLOCK_TOSSES // max(width, 1))
+    for r0 in range(0, rows if width else 0, step):
+        block = heads[r0 : r0 + step]
+        flat = block.reshape(-1)
+        edge = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=edge[1:])
+        edge[::width] = True
+        starts = np.flatnonzero(edge)
+        end = used + starts.size
+        np.subtract(starts[1:], starts[:-1], out=length[used : end - 1], casting="unsafe")
+        length[end - 1] = flat.size - starts[-1]
+        first = np.searchsorted(starts, np.arange(0, flat.size, width))
+        start[r0 : r0 + block.shape[0]] = used + first
+        # runs alternate within a row: run j of the block is tails iff j is
+        # odd xor the row's phase (it opens with tails xor first[row] is odd)
+        phase = ~block[:, 0] ^ (first & 1).astype(bool)
+        odd = np.zeros(starts.size, dtype=bool)
+        odd[1::2] = True
+        np.bitwise_xor(odd, np.repeat(phase, np.diff(first, append=starts.size)), out=tail[used:end])
+        used = end
+    start[rows] = used
+    length.resize(used, refcheck=False)
+    tail.resize(used, refcheck=False)
+    return TossRuns(width, length, tail, start)
+
+
 def batch_head_count(heads: np.ndarray) -> np.ndarray:
-    return heads.sum(axis=1, dtype=np.int64)
-
-
-def _tail_run_lengths_at(heads: np.ndarray) -> np.ndarray:
-    """At each tail position, the length of the tail run ending there (else 0)."""
-    rows, length = heads.shape
-    idx = np.arange(length, dtype=np.int32)
-    last_head = np.maximum.accumulate(np.where(heads, idx, np.int32(-1)), axis=1)
-    return np.where(heads, np.int32(0), idx - last_head)
+    return toss_runs(heads).head_count()
 
 
 def batch_longest_tail_run(heads: np.ndarray) -> np.ndarray:
     """Per-row longest run of tails (0 for all-heads rows)."""
-    return _tail_run_lengths_at(heads).max(axis=1)
+    return toss_runs(heads).longest_tail_run()
 
 
 def batch_tail_run_starts(heads: np.ndarray) -> np.ndarray:
     """Per-row number of maximal tail runs."""
-    starts = ~heads
-    starts[:, 1:] &= heads[:, :-1]
-    return starts.sum(axis=1, dtype=np.int64)
+    return toss_runs(heads).tail_runs()
 
 
 def batch_tail_runs_equal(heads: np.ndarray, r: int) -> np.ndarray:
     """Per-row number of maximal tail runs of length exactly r >= 1."""
     if r < 1:
         raise ValueError("run length must be >= 1")
-    lengths = _tail_run_lengths_at(heads)
-    ends = ~heads
-    ends[:, :-1] &= heads[:, 1:]
-    return (ends & (lengths == r)).sum(axis=1, dtype=np.int64)
+    if r > heads.shape[1]:
+        return np.zeros(heads.shape[0], dtype=np.int64)
+    return toss_runs(heads).tail_run_histogram(r)[:, r - 1]
 
 
 def batch_window_counts(heads: np.ndarray, k: int) -> np.ndarray:
     """Per-row occurrences of H T^(k-1) H."""
     if k < 1:
         raise ValueError("window parameter k must be >= 1")
-    rows, length = heads.shape
-    if length < k + 1:
-        return np.zeros(rows, dtype=np.int64)
-    ok = heads[:, : length - k] & heads[:, k:]
-    for t in range(1, k):
-        ok = ok & ~heads[:, t : t + length - k]
-    return ok.sum(axis=1, dtype=np.int64)
+    if k >= heads.shape[1]:
+        return np.zeros(heads.shape[0], dtype=np.int64)
+    return toss_runs(heads).window_counts(k)[:, k - 1]
 
 
 def batch_degree_counts(heads: np.ndarray, n: int, kmax: int) -> np.ndarray:
     """Per-row degree census columns D_1 .. D_kmax for trees of size n."""
-    rows, length = heads.shape
-    if length != n - 3:
-        raise ValueError(f"expected n-3 = {n - 3} tosses per row, got {length}")
-    out = np.zeros((rows, kmax), dtype=np.int64)
-    nblocks = 1 + batch_head_count(heads)
-    out[:, 0] = n - nblocks
-    if kmax >= 2:
-        out[:, 1] = nblocks - batch_tail_run_starts(heads)
-    for k in range(3, kmax + 1):
-        out[:, k - 1] = batch_tail_runs_equal(heads, k - 2)
-    return out
+    return toss_runs(heads).degree_counts(n, kmax)

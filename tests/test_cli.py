@@ -63,6 +63,13 @@ def test_sample_requires_seed(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_outside_64_bits_is_a_usage_error(run, seed):
+    assert run("sample", "--n", "5", "--count", "2", "--seed", seed)[0] == 2
+    argv = ("stats", "--n", "10", "--samples", "10", "--seed", seed, "--stat", "leaves")
+    assert run(*argv)[0] == 2
+
+
 def test_sample_deterministic(run):
     a = run("sample", "--n", "12", "--count", "3", "--seed", "7")
     b = run("sample", "--n", "12", "--count", "3", "--seed", "7")

@@ -15,7 +15,6 @@ from permtree.montecarlo import (
     ExperimentConfig,
     Tolerances,
     chi_square,
-    empirical_dcov,
     normality_check,
     run_experiment,
     substream,
@@ -48,6 +47,23 @@ def test_substreams_independent_and_reproducible():
     d = substream(7, "leaves", 5).bytes(16)
     assert a == b
     assert a != c and a != d
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_64_bits_rejected(seed):
+    # modulo 2**64, -1 and 2**64 would alias the valid seeds 2**64 - 1 and 0
+    with pytest.raises(ValueError):
+        substream(seed, "gamma", 0)
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(n=10, samples=10, seed=seed, statistic="leaves")
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_seeds_at_the_64_bit_edges_accepted(seed):
+    assert substream(seed, "gamma", 0).bytes(8) == substream(seed, "gamma", 0).bytes(8)
+    report = run_experiment(ExperimentConfig(n=10, samples=10, seed=seed, statistic="leaves"))
+    assert report.config["seed"] == seed
+    assert substream(0, "gamma", 0).bytes(8) != substream((1 << 64) - 1, "gamma", 0).bytes(8)
 
 
 def test_chi_square_exact_match_is_zero():
@@ -168,8 +184,6 @@ def test_dcov_small_run_and_helper():
     config = ExperimentConfig(n=400, samples=20_000, seed=11, statistic="dcov", m=3)
     report = run_experiment(config)
     got = np.array(report.empirical["cov"])
-    helper = empirical_dcov(n=400, samples=20_000, m=3, seed=11)
-    assert np.allclose(got, helper)
     assert got.shape == (3, 3)
     th = np.array(report.theory["cov"])
     assert np.all(np.abs(got - th) < 0.05)

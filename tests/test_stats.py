@@ -13,6 +13,7 @@ from permtree.codec import TreeCode, enumerate_codes, enumerate_trees
 from permtree.perm import Permutation, build_graph
 from permtree.stats import (
     CoinSequence,
+    DegreeCensus,
     batch_degree_counts,
     batch_head_count,
     batch_longest_tail_run,
@@ -136,6 +137,14 @@ def test_coupled_equivalence_spot_large():
     for _ in range(3):
         bits = rng.integers(0, 2, size=9998)
         assert coupled_tree_stats_equivalence(TreeCode(10_000, bits.tolist()))
+
+
+def test_degree_census_rejects_inconsistent_counts():
+    assert DegreeCensus(3, {1: 2, 2: 1}).max_degree == 2
+    with pytest.raises(ValueError):
+        DegreeCensus(3, {1: 3})  # three vertices, but degrees sum to 3 != 4
+    with pytest.raises(ValueError):
+        DegreeCensus(3, {1: 2})  # two vertices counted for n = 3
 
 
 def test_leaves_pmf_values():
