@@ -15,8 +15,6 @@ from .codec import (
     enumerate_codes,
     enumerate_trees,
     insert_first_kind,
-    insert_i1,
-    insert_i2,
     insert_second_kind,
     sample_code,
     sample_tree,
@@ -78,8 +76,6 @@ __all__ = [
     "enumerate_codes",
     "enumerate_trees",
     "insert_first_kind",
-    "insert_i1",
-    "insert_i2",
     "insert_second_kind",
     "inversion_count",
     "inversions",

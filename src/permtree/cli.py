@@ -25,17 +25,9 @@ from .structure import central_path
 SCHEMA = "permtree/1"
 
 THEORY_STATS = ("gamma", "leaves", "diam", "maxdeg", "ystar", "runs", "dcov")
-EXPERIMENT_STATS = ("leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs")
 
-_EXPERIMENT_NAME = {
-    "leaves": montecarlo.STAT_LEAVES,
-    "diam": montecarlo.STAT_DIAM,
-    "maxdeg": montecarlo.STAT_MAXDEG,
-    "dcensus": montecarlo.STAT_DCENSUS,
-    "gamma": montecarlo.STAT_GAMMA,
-    "dcov": montecarlo.STAT_DCOV,
-    "runs": montecarlo.STAT_RUNS,
-}
+# ``stats --stat`` name -> canonical statistic name
+_CANONICAL = {entry.cli_name: name for name, entry in montecarlo.REGISTRY.items()}
 
 
 def _emit(text: str) -> None:
@@ -183,7 +175,7 @@ def _cmd_stats(args) -> int:
         n=args.n,
         samples=args.samples,
         seed=args.seed,
-        statistic=_EXPERIMENT_NAME[args.stat],
+        statistic=_CANONICAL[args.stat],
         q=args.q,
         m=args.m,
         workers=args.workers,
@@ -411,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stat", choices=EXPERIMENT_STATS, required=True)
+    p.add_argument("--stat", choices=tuple(_CANONICAL), required=True)
     p.add_argument("--q", type=float, default=None, help="geometric parameter (runs)")
     p.add_argument("--m", type=int, default=5, help="degree-vector size (dcov)")
     p.add_argument("--workers", type=int, default=1)

@@ -136,11 +136,6 @@ def insert_second_kind(perm: Permutation, check: bool = False) -> Permutation:
     return Permutation(w)
 
 
-# The two moves are traditionally numbered; keep the short aliases.
-insert_i1 = insert_first_kind
-insert_i2 = insert_second_kind
-
-
 def _decode_values(n: int, bits: Sequence[int]) -> list[int]:
     """Raw decode loop; assumes bits has length max(n-2, 0)."""
     if n == 1:

@@ -57,20 +57,6 @@ def forest_total(n: int) -> int:
     return b
 
 
-def forest_total_closed_form(n: int) -> float:
-    """Closed form of :func:`forest_total` via the golden-ratio-like roots.
-
-    Floating point; agrees with the exact recurrence to relative error
-    below 1e-9 for n <= 60.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s5 = math.sqrt(5.0)
-    r_plus = (3.0 + s5) / 2.0
-    r_minus = (3.0 - s5) / 2.0
-    return ((s5 - 1.0) / (2.0 * s5)) * r_plus**n + ((s5 + 1.0) / (2.0 * s5)) * r_minus**n
-
-
 def forest_count(n: int, m: int) -> int:
     """Number of forest permutations with n letters and exactly m components.
 

@@ -12,21 +12,27 @@ boundaries or worker count.  All aggregation is exact integer arithmetic
 so a report is a pure function of its configuration: identical config,
 identical bytes, regardless of parallelism.
 
-Statistics are extracted from the sampled code bits through one run-length
-encoding per chunk (:func:`permtree.stats.toss_runs`) and its projections;
-every theoretical number placed in a report comes from the closed-form
-operations of :mod:`permtree.stats` and :mod:`permtree.cover`.
+Each statistic is one entry of :data:`REGISTRY`, keyed by its canonical
+name.  The entry carries everything the harness needs to know about it:
+its Philox domain tag, its ``permtree stats --stat`` name, the smallest n
+it accepts, the configuration parameters it reads (and reports), the
+chunk kernel that samples it and the builder that turns the merged chunks
+into a report.  Coin statistics are read from the sampled code bits
+through one run-length encoding per chunk (:func:`permtree.stats.toss_runs`)
+and its projections; every theoretical number placed in a report comes
+from the closed-form operations of :mod:`permtree.stats` and
+:mod:`permtree.cover`.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import chdtri, ndtr
 
 from . import cover as _cover
 from . import stats as _stats
@@ -36,46 +42,22 @@ from .errors import EmptyHistogramError, InvalidConfigError, TooFewSamplesError
 SCHEMA = "permtree/1"
 CHUNK = 1024  # fixed slicing policy; results do not depend on it
 
-STAT_LEAVES = "leaves"
-STAT_DIAM = "diam"
-STAT_MAXDEG = "maxdeg"
-STAT_DCENSUS = "dcensus"
-STAT_GAMMA = "gamma"
-STAT_DCOV = "dcov"
-STAT_RUNS = "runs_geometric"
-
-STATISTICS = (
-    STAT_LEAVES,
-    STAT_DIAM,
-    STAT_MAXDEG,
-    STAT_DCENSUS,
-    STAT_GAMMA,
-    STAT_DCOV,
-    STAT_RUNS,
-)
-
-_DOMAIN = {
-    STAT_LEAVES: 1,
-    STAT_DIAM: 2,
-    STAT_MAXDEG: 3,
-    STAT_DCENSUS: 4,
-    STAT_GAMMA: 5,
-    STAT_DCOV: 6,
-    STAT_RUNS: 7,
-    "sample": 8,
-}
-
 _SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 56
+_SAMPLE_TAG = 8  # the streams of ``permtree sample``
 
 MAXDEG_K_RANGE = tuple(range(-2, 7))
 WINDOW_K_MAX = 6
 
 
 def substream(seed: int, domain: int | str, index: int) -> np.random.Generator:
-    """Independent per-sample generator from (seed, domain, index)."""
+    """Independent per-sample generator from (seed, domain, index).
+
+    A string domain is a statistic's canonical name, resolved to its
+    :data:`REGISTRY` tag, or ``"sample"``.
+    """
     if isinstance(domain, str):
-        domain = _DOMAIN[domain]
+        domain = _SAMPLE_TAG if domain == "sample" else REGISTRY[domain].domain
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError("seed must lie in [0, 2**64)")
     if not 0 <= index < _MAX_INDEX:
@@ -117,10 +99,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        aliases = {"diameter": STAT_DIAM, "degree_census": STAT_DCENSUS, "runs": STAT_RUNS}
-        if self.statistic in aliases:
-            object.__setattr__(self, "statistic", aliases[self.statistic])
-        if self.statistic not in STATISTICS:
+        entry = REGISTRY.get(self.statistic)
+        if entry is None:
             raise InvalidConfigError(f"unknown statistic {self.statistic!r}")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise InvalidConfigError("seed must lie in [0, 2**64)")
@@ -130,36 +110,28 @@ class ExperimentConfig:
             raise InvalidConfigError("samples exceed the substream index space")
         if self.workers < 1:
             raise InvalidConfigError("workers must be >= 1")
-        if self.statistic == STAT_RUNS:
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise InvalidConfigError("runs_geometric needs q strictly between 0 and 1")
-            if self.n < 1:
-                raise InvalidConfigError("runs_geometric needs n >= 1")
-        elif self.statistic in (STAT_LEAVES, STAT_DIAM):
-            if self.n < 2:
-                raise InvalidConfigError(f"{self.statistic} needs n >= 2")
-        else:
-            if self.n < 4:
-                raise InvalidConfigError(f"{self.statistic} needs n >= 4")
-        if self.statistic == STAT_DCOV:
+        if "q" in entry.params and (self.q is None or not 0.0 < self.q < 1.0):
+            raise InvalidConfigError(f"{self.statistic} needs q strictly between 0 and 1")
+        if self.n < entry.min_n:
+            raise InvalidConfigError(f"{self.statistic} needs n >= {entry.min_n}")
+        if "m" in entry.params:
             if not 1 <= self.m <= 8:
-                raise InvalidConfigError("dcov supports 1 <= m <= 8")
+                raise InvalidConfigError(f"{self.statistic} supports 1 <= m <= 8")
+            # a covariance of the m degree counts needs two samples
             if self.samples < 2:
-                raise InvalidConfigError("dcov needs at least 2 samples")
-        if self.statistic == STAT_DCENSUS and self.kmax < 1:
-            raise InvalidConfigError("dcensus needs kmax >= 1")
+                raise InvalidConfigError(f"{self.statistic} needs at least 2 samples")
+        if "kmax" in entry.params and self.kmax < 1:
+            raise InvalidConfigError(f"{self.statistic} needs kmax >= 1")
 
     def to_dict(self) -> dict:
         out = asdict(self)
         # workers is an execution detail: reports are byte-identical across
         # worker counts, so it must not leak into the report
         out.pop("workers")
-        if self.statistic != STAT_RUNS:
-            out.pop("q")
-        if self.statistic != STAT_DCOV:
-            out.pop("m")
-        if self.statistic != STAT_DCENSUS:
-            out.pop("kmax")
+        params = REGISTRY[self.statistic].params
+        for name in ("q", "m", "kmax"):
+            if name not in params:
+                out.pop(name)
         return out
 
 
@@ -214,70 +186,84 @@ class StatReport:
 # ---------------------------------------------------------------------------
 
 
+def _substreams(config: ExperimentConfig, start: int, count: int):
+    """Generators of samples start .. start+count-1 of the statistic's domain."""
+    domain = REGISTRY[config.statistic].domain
+    return (substream(config.seed, domain, start + i) for i in range(count))
+
+
+def _tosses(config: ExperimentConfig, start: int, count: int) -> np.ndarray:
+    """Toss matrix of the chunk's sampled codes, one row per sample."""
+    bits = np.empty((count, config.n - 2), dtype=np.uint8)
+    for i, rng in enumerate(_substreams(config, start, count)):
+        bits[i] = random_bits(rng, config.n - 2)
+    # no caller keeps the bits or the tosses past their next form: the
+    # chunk's matrices set the process's peak memory
+    return _stats.tosses_from_codes(bits)
+
+
+def _toss_runs(config: ExperimentConfig, start: int, count: int) -> _stats.TossRuns:
+    return _stats.toss_runs(_tosses(config, start, count))
+
+
+def _diam_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    if config.n <= 3:
+        # no tosses: the only tree is the path on n vertices
+        return {"values": np.full(count, config.n - 1, dtype=np.int64)}
+    return {"values": _tosses(config, start, count).sum(axis=1, dtype=np.int64) + 2}
+
+
+def _leaves_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    # a caterpillar's spine holds its non-leaves: leaves = n + 1 - diameter
+    return {"values": config.n + 1 - _diam_chunk(config, start, count)["values"]}
+
+
+def _maxdeg_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    return {"values": _toss_runs(config, start, count).longest_tail_run() + 2}
+
+
+def _gamma_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    return {"values": _toss_runs(config, start, count).cover_number()}
+
+
+def _dcensus_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    runs = _toss_runs(config, start, count)
+    counts = runs.degree_counts(config.n, config.kmax)
+    windows = runs.window_counts(WINDOW_K_MAX)
+    return {
+        "dsum": counts.sum(axis=0),
+        "dsumsq": (counts * counts).sum(axis=0),
+        "wsum": windows.sum(axis=0),
+        "wsumsq": (windows * windows).sum(axis=0),
+    }
+
+
+def _dcov_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    counts = _toss_runs(config, start, count).degree_counts(config.n, config.m)
+    return {
+        "dsum": counts.sum(axis=0),
+        "dd": counts.T @ counts,
+        "d1": counts[:, 0].copy(),
+    }
+
+
+def _runs_geometric_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+    vals = np.empty(count, dtype=np.int64)
+    for i, rng in enumerate(_substreams(config, start, count)):
+        draws = rng.geometric(1.0 - config.q, size=config.n)
+        vals[i] = 1 + int(np.count_nonzero(draws[1:] != draws[:-1]))
+    return {"values": vals}
+
+
 def _compute_chunk(task: tuple) -> dict:
-    """Raw per-chunk aggregates; pure function of the task tuple."""
-    stat, n, q, m, kmax, seed, start, count = task
-    domain = _DOMAIN[stat]
-
-    if stat == STAT_RUNS:
-        vals = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            draws = substream(seed, domain, start + i).geometric(1.0 - q, size=n)
-            vals[i] = 1 + int(np.count_nonzero(draws[1:] != draws[:-1]))
-        return {"values": vals}
-
-    if n <= 3:
-        const = {STAT_LEAVES: 2, STAT_DIAM: n - 1}[stat]
-        return {"values": np.full(count, const, dtype=np.int64)}
-
-    bits = np.empty((count, n - 2), dtype=np.uint8)
-    for i in range(count):
-        bits[i] = random_bits(substream(seed, domain, start + i), n - 2)
-    # each matrix is dropped once the next form exists: the chunk's matrices
-    # set the process's peak memory
-    heads = _stats.tosses_from_codes(bits)
-    del bits
-
-    if stat in (STAT_LEAVES, STAT_DIAM):
-        head_count = heads.sum(axis=1, dtype=np.int64)
-        return {"values": n - 1 - head_count if stat == STAT_LEAVES else head_count + 2}
-    runs = _stats.toss_runs(heads)
-    del heads
-    if stat == STAT_MAXDEG:
-        return {"values": runs.longest_tail_run() + 2}
-    if stat == STAT_GAMMA:
-        return {"values": runs.cover_number()}
-    if stat == STAT_DCENSUS:
-        counts = runs.degree_counts(n, kmax)
-        windows = runs.window_counts(WINDOW_K_MAX)
-        return {
-            "dsum": counts.sum(axis=0),
-            "dsumsq": (counts * counts).sum(axis=0),
-            "wsum": windows.sum(axis=0),
-            "wsumsq": (windows * windows).sum(axis=0),
-        }
-    if stat == STAT_DCOV:
-        counts = runs.degree_counts(n, m)
-        return {
-            "dsum": counts.sum(axis=0),
-            "dd": counts.T @ counts,
-            "d1": counts[:, 0].copy(),
-        }
-    raise AssertionError(stat)
+    """Raw per-chunk aggregates; pure function of (config, start, count)."""
+    config, start, count = task
+    return REGISTRY[config.statistic].kernel(config, start, count)
 
 
 def _gather(config: ExperimentConfig) -> list[dict]:
     tasks = [
-        (
-            config.statistic,
-            config.n,
-            config.q,
-            config.m,
-            config.kmax,
-            config.seed,
-            start,
-            min(CHUNK, config.samples - start),
-        )
+        (config, start, min(CHUNK, config.samples - start))
         for start in range(0, config.samples, CHUNK)
     ]
     if config.workers <= 1 or len(tasks) == 1:
@@ -462,20 +448,25 @@ def _binomial_pmf_window(n: int, values: np.ndarray, mean: float, sd: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def _scalar_law_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
-    """Leaves / diameter: binomial law plus moment and shape tests."""
+def _scalar_law_report(
+    config: ExperimentConfig, parts: list[dict], *, n2_value: int, normality: bool
+) -> tuple[dict, dict, list]:
+    """Leaves / diameter: binomial law plus moment and shape tests.
+
+    ``n2_value`` is the statistic on the unique tree at n = 2; ``normality``
+    adds the shape test.
+    """
     n = config.n
     tol = config.tolerances
+    values = _merged_values(parts)
     mean, var, _ = _moments_from_values(values)
     hist = _histogram(values)
     count = values.size
 
     th_mean, th_var = (n + 1) / 2, (n - 3) / 4 if n >= 3 else 0.0
     if n == 2:
-        # unique tree: leaf count 2, diameter 1
-        const = 2 if config.statistic == STAT_LEAVES else 1
-        pmf = {const: 1.0}
-        th_mean, th_var = float(const), 0.0
+        pmf = {n2_value: 1.0}
+        th_mean, th_var = float(n2_value), 0.0
     else:
         sd = math.sqrt(max(th_var, 1.0))
         pmf = _binomial_pmf_window(n, values, th_mean, sd)
@@ -490,7 +481,7 @@ def _scalar_law_report(config: ExperimentConfig, values: np.ndarray) -> tuple[di
         )
     ]
     stat, dof = chi_square(hist, pmf)
-    limit = float(_chi2_dist.ppf(tol.chi2_quantile, dof)) if dof >= 1 else 0.0
+    limit = float(chdtri(dof, 1.0 - tol.chi2_quantile)) if dof >= 1 else 0.0
     tests.append(
         {
             "name": "law_chi2",
@@ -506,7 +497,7 @@ def _scalar_law_report(config: ExperimentConfig, values: np.ndarray) -> tuple[di
         "variance": var,
         "histogram": {str(k): v for k, v in hist.items()},
     }
-    if config.statistic == STAT_LEAVES:
+    if normality:
         shape, shape_test = _shape_entries(values, "normality_ks", tol.ks_limit)
         if shape is not None:
             empirical["normality"] = shape
@@ -520,7 +511,8 @@ def _scalar_law_report(config: ExperimentConfig, values: np.ndarray) -> tuple[di
     return empirical, theory, tests
 
 
-def _maxdeg_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
+def _maxdeg_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
+    values = _merged_values(parts)
     n = config.n
     tol = config.tolerances
     count = values.size
@@ -546,7 +538,8 @@ def _maxdeg_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, 
     return empirical, theory, tests
 
 
-def _gamma_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
+def _gamma_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
+    values = _merged_values(parts)
     n = config.n
     tol = config.tolerances
     mean, var, _ = _moments_from_values(values)
@@ -651,7 +644,8 @@ def _dcov_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dic
     return empirical, theory, tests
 
 
-def _runs_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
+def _runs_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
+    values = _merged_values(parts)
     tol = config.tolerances
     count = values.size
     mean, var, m4 = _moments_from_values(values)
@@ -667,22 +661,44 @@ def _runs_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, di
     return empirical, theory, tests
 
 
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """What the harness knows about one statistic."""
+
+    domain: int  # Philox domain tag: part of every substream key, never renumbered
+    cli_name: str  # name of ``permtree stats --stat``
+    min_n: int  # smallest n it accepts
+    params: tuple[str, ...]  # configuration fields it reads, kept in its report
+    kernel: Callable[[ExperimentConfig, int, int], dict]  # (config, start, count)
+    report: Callable[[ExperimentConfig, list[dict]], tuple[dict, dict, list]]
+
+
+# canonical name -> entry, in domain order (also the order of the CLI choices)
+REGISTRY: dict[str, Statistic] = {
+    "leaves": Statistic(
+        1, "leaves", 2, (), _leaves_chunk,
+        partial(_scalar_law_report, n2_value=2, normality=True),
+    ),
+    "diam": Statistic(
+        2, "diam", 2, (), _diam_chunk,
+        partial(_scalar_law_report, n2_value=1, normality=False),
+    ),
+    "maxdeg": Statistic(3, "maxdeg", 4, (), _maxdeg_chunk, _maxdeg_report),
+    "dcensus": Statistic(4, "dcensus", 4, ("kmax",), _dcensus_chunk, _dcensus_report),
+    "gamma": Statistic(5, "gamma", 4, (), _gamma_chunk, _gamma_report),
+    "dcov": Statistic(6, "dcov", 4, ("m",), _dcov_chunk, _dcov_report),
+    "runs_geometric": Statistic(7, "runs", 1, ("q",), _runs_geometric_chunk, _runs_report),
+}
+
+
 def run_experiment(config: ExperimentConfig) -> StatReport:
     """Sample, aggregate exactly, and compare against the closed forms."""
-    parts = _gather(config)
-    stat = config.statistic
-    if stat in (STAT_LEAVES, STAT_DIAM):
-        empirical, theory, tests = _scalar_law_report(config, _merged_values(parts))
-    elif stat == STAT_MAXDEG:
-        empirical, theory, tests = _maxdeg_report(config, _merged_values(parts))
-    elif stat == STAT_GAMMA:
-        empirical, theory, tests = _gamma_report(config, _merged_values(parts))
-    elif stat == STAT_DCENSUS:
-        empirical, theory, tests = _dcensus_report(config, parts)
-    elif stat == STAT_DCOV:
-        empirical, theory, tests = _dcov_report(config, parts)
-    else:
-        empirical, theory, tests = _runs_report(config, _merged_values(parts))
+    empirical, theory, tests = REGISTRY[config.statistic].report(config, _gather(config))
     verdict = "pass" if all(t["pass"] for t in tests) else "fail"
     return StatReport(
         config=config.to_dict(),

@@ -13,7 +13,7 @@ Positions and letters are both 1-based throughout.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -317,24 +317,3 @@ def is_tree_permutation(perm: Permutation) -> bool:
     if not is_indecomposable(perm):
         return False
     return inversion_count(perm) == perm.n - 1
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """Yield all of S_n in lexicographic order."""
-    from itertools import permutations as _perms
-
-    for vals in _perms(range(1, n + 1)):
-        yield Permutation(vals)
-
-
-def _naive_pattern_flags(values: Sequence[int]) -> tuple[bool, bool]:
-    """Brute-force pattern containment; test oracle for pattern_flags."""
-    from itertools import combinations
-
-    w = list(values)
-    has_321 = any(w[i] > w[j] > w[k] for i, j, k in combinations(range(len(w)), 3))
-    has_3412 = any(
-        w[k] < w[l] < w[i] < w[j]
-        for i, j, k, l in combinations(range(len(w)), 4)
-    )
-    return has_321, has_3412

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permtree
 from permtree.cli import main
 
 
@@ -155,3 +160,13 @@ def test_usage_error_exit_2(run):
     assert code == 2
     code, _, _ = run()
     assert code == 2
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone costs about a second of every cold start
+    env = dict(os.environ, PYTHONPATH=str(Path(permtree.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, permtree.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

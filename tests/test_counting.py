@@ -10,7 +10,6 @@ from permtree.counting import (
     census,
     forest_count,
     forest_total,
-    forest_total_closed_form,
     indecomposable_count,
 )
 from permtree.errors import CapExceededError
@@ -49,13 +48,6 @@ def test_forest_count_m1_equals_tree_count(n):
 def test_forest_count_sums_to_total_big():
     for n in range(1, 201):
         assert sum(forest_count(n, m) for m in range(1, n + 1)) == forest_total(n)
-
-
-def test_recurrence_vs_closed_form():
-    for n in range(1, 61):
-        exact = forest_total(n)
-        approx = forest_total_closed_form(n)
-        assert abs(approx - exact) / exact < 1e-9
 
 
 @pytest.mark.parametrize("n", range(1, 8))

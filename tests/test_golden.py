@@ -4,7 +4,8 @@ Reports are pure functions of their configuration, so a kernel or report
 refactor that changes no behaviour leaves these SHA-256 digests of
 ``run_experiment(config).to_json()`` unchanged.  The configurations are
 small (n <= 5000, at most 3000 samples); the n = 200 runs span three
-sample chunks, and the n = 2..6 runs cover the degenerate trees.
+sample chunks, and the n = 2..6 runs cover the degenerate trees.  The
+stdout of three CLI commands is pinned the same way.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import hashlib
 
 import pytest
 
+from permtree.cli import main
 from permtree.montecarlo import CHUNK, ExperimentConfig, run_experiment
 
 GOLDEN = [
@@ -66,3 +68,21 @@ def test_report_digest(case):
     cfg, digest = case
     text = run_experiment(ExperimentConfig(**cfg)).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+CLI_GOLDEN = [
+    ("verify --max-n 8 --format json",
+     "60dc68077bbd85ec87960ff8886345248f33d7b7d5028c197892178486649602"),
+    ("sample --n 50 --count 20 --seed 7",
+     "6b0cce4f17b67e9884883af4306766fadf9f875542983ff7c8fd3753b61c5dd0"),
+    # "runs" is the CLI name of runs_geometric
+    ("stats --n 40 --samples 2000 --seed 5 --stat runs --q 0.5",
+     "9a1b279a2c0f1c42bab9a23eb208ad6055725a0d2ba6c6d250d60f14d835237c"),
+]
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=[c[0].split()[0] for c in CLI_GOLDEN])
+def test_cli_stdout_digest(case, capsys):
+    argv, digest = case
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

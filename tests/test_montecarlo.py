@@ -1,17 +1,20 @@
 """Harness determinism, goodness-of-fit plumbing, and small fixed-seed runs."""
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
+from permtree.cli import build_parser
 from permtree.errors import (
     EmptyHistogramError,
     InvalidConfigError,
     TooFewSamplesError,
 )
 from permtree.montecarlo import (
+    REGISTRY,
     ExperimentConfig,
     Tolerances,
     chi_square,
@@ -38,6 +41,43 @@ def test_config_validation():
         ExperimentConfig(n=10, samples=10, seed=1, statistic="dcov", m=9)
     with pytest.raises(InvalidConfigError):
         Tolerances(z_limit=0.0)
+    # names other than the canonical ones are rejected, not aliased
+    for name in ("diameter", "degree_census", "runs"):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(n=10, samples=10, seed=1, statistic=name, q=0.5)
+    # the CLI offers exactly the registry's statistics, under their CLI names
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    stat = next(a for a in subcommands.choices["stats"]._actions if a.dest == "stat")
+    assert tuple(stat.choices) == tuple(e.cli_name for e in REGISTRY.values()) == (
+        "leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs",
+    )
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_registry_entry_validation(name):
+    entry = REGISTRY[name]
+    common = dict(samples=10, seed=1, statistic=name, q=0.5)
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(n=entry.min_n - 1, **common)
+    config = ExperimentConfig(n=entry.min_n, **common)
+    assert set(config.to_dict()) == {"n", "samples", "seed", "statistic", "tolerances", *entry.params}
+    assert run_experiment(config).config == config.to_dict()
+
+
+# Philox domain tags key every substream: renumbering one changes every
+# report and sample drawn under it
+DOMAIN_TAGS = {
+    "leaves": 1, "diam": 2, "maxdeg": 3, "dcensus": 4,
+    "gamma": 5, "dcov": 6, "runs_geometric": 7, "sample": 8,
+}
+
+
+@pytest.mark.parametrize("name", list(DOMAIN_TAGS))
+def test_domain_tag_pinned(name):
+    tag = DOMAIN_TAGS[name]
+    if name in REGISTRY:
+        assert REGISTRY[name].domain == tag
+    assert substream(7, name, 3).bytes(16) == substream(7, tag, 3).bytes(16)
 
 
 def test_substreams_independent_and_reproducible():
