@@ -13,14 +13,11 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
-from . import codec, counting, cover, montecarlo, stats
-from .codec import TreeCode, decode, encode, enumerate_codes, sample_code
+from . import codec, counting, cover, montecarlo, stats, verify
+from .codec import TreeCode, decode, enumerate_codes, sample_code
 from .errors import CapExceededError, InvalidConfigError
 from .montecarlo import ExperimentConfig, substream
-from .perm import build_graph
-from .structure import central_path
 
 SCHEMA = "permtree/1"
 
@@ -148,6 +145,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise InvalidConfigError("count must be >= 0")
     recs = []
     for i in range(args.count):
         rng = substream(args.seed, "sample", i)
@@ -214,10 +213,12 @@ def _cmd_theory(args) -> int:
             "variance_rate_exact": float(cover.gamma_variance_rate()),
         }
     elif name in ("leaves", "diam"):
-        payload = {"mean": (n + 1) / 2, "variance": (n - 3) / 4 if n >= 3 else 0.0}
+        mean, variance = montecarlo.scalar_law_moments(name, n)
+        payload = {"mean": mean, "variance": variance}
         if args.k is not None:
-            pmf = stats.leaves_pmf(n, args.k) if name == "leaves" else stats.diameter_pmf(n, args.k)
-            payload["pmf_at_k"] = float(pmf)
+            law = stats.leaves_pmf if name == "leaves" else stats.diameter_pmf
+            at_k = args.k == montecarlo.N2_VALUES[name] if n == 2 else law(n, args.k)
+            payload["pmf_at_k"] = float(at_k)
     elif name == "maxdeg":
         if args.k is None:
             raise InvalidConfigError("theory --stat maxdeg needs --k")
@@ -252,114 +253,21 @@ def _cmd_theory(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, ok: bool, lines: list[str]) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return ok
-
-
 def _cmd_verify(args) -> int:
-    max_n = args.max_n
-    lines: list[str] = []
-    all_ok = True
-
-    census_n = min(max_n, 8)
-    ok = True
-    for n in range(1, census_n + 1):
-        table = counting.census(n, workers=args.workers)
-        ok &= table.trees == codec.count_trees(n)
-        ok &= table.connected == counting.indecomposable_count(n)
-        ok &= table.forest_total == counting.forest_total(n)
-        ok &= all(
-            table.forests_by_m.get(m, 0) == counting.forest_count(n, m)
-            for m in range(1, n + 1)
-        )
-    all_ok &= _check(f"census vs closed forms (n <= {census_n})", ok, lines)
-
-    rt_n = min(max_n, 14)
-    ok = True
-    for n in range(1, rt_n + 1):
-        for code in enumerate_codes(n):
-            if encode(decode(code)) != code:
-                ok = False
-    all_ok &= _check(f"encode/decode roundtrip (n <= {rt_n})", ok, lines)
-
-    adj_n = min(max_n, 11)
-    ok = True
-    for n in range(2, adj_n + 1):
-        for p in codec.enumerate_trees(n):
-            g = build_graph(p)
-            from .structure import neighbors_via_blocks
-
-            for pos in range(1, n + 1):
-                if neighbors_via_blocks(p, pos) != set(g.neighbors(p.letter(pos))):
-                    ok = False
-    all_ok &= _check(f"block adjacency = inversion adjacency (n <= {adj_n})", ok, lines)
-
-    cat_n = min(max_n, 11)
-    ok = True
-    for n in range(3, cat_n + 1):
-        for p in codec.enumerate_trees(n):
-            g = build_graph(p)
-            spine = central_path(p).vertices
-            nonleaves = {v for v in range(1, n + 1) if g.degree(v) >= 2}
-            if set(spine) != nonleaves:
-                ok = False
-            first, last = p.values[0], p.values[-1]
-            if first == n or last == 1:
-                if len(spine) != 1:
-                    ok = False
-            elif not (spine[0] in {1, first} and spine[-1] in {n, last}):
-                ok = False
-    all_ok &= _check(f"caterpillar shape and endpoints (n <= {cat_n})", ok, lines)
-
-    cov_n = min(max_n, 11)
-    ok = True
-    for n in range(1, cov_n + 1):
-        for p in codec.enumerate_trees(n):
-            a = cover.marking_algorithm(p).size
-            if a != cover.gamma_formula(p) or a != cover.min_cover_oracle(p):
-                ok = False
-    all_ok &= _check(f"cover number triple agreement (n <= {cov_n})", ok, lines)
-
-    dec_n = min(max_n, 11)
-    ok = True
-    for n in range(4, dec_n + 1):
-        for code in enumerate_codes(n):
-            try:
-                cover.gamma_decomposition(code)  # self-asserting
-            except RuntimeError:
-                ok = False
-    all_ok &= _check(f"cover run decomposition identity (n <= {dec_n})", ok, lines)
-
-    law_n = min(max_n, 12)
-    ok = True
-    for n in range(3, law_n + 1):
-        total = codec.count_trees(n)
-        from collections import Counter
-
-        hist = Counter(stats.tree_stats(p).leaves for p in codec.enumerate_trees(n))
-        for leaves, count in hist.items():
-            if Fraction(count, total) != stats.leaves_pmf(n, leaves):
-                ok = False
-        for code in enumerate_codes(n):
-            if not stats.coupled_tree_stats_equivalence(code):
-                ok = False
-    all_ok &= _check(f"exact leaf law and degree coupling (n <= {law_n})", ok, lines)
-
+    results = verify.run(args.max_n, args.workers)
+    all_ok = all(r["failures"] == 0 for r in results)
     payload = {
         "schema": SCHEMA,
-        "max_n": max_n,
-        "checks": [
-            {"name": line[6:], "pass": line.startswith("PASS")} for line in lines
-        ],
+        "max_n": args.max_n,
+        "checks": [{"name": r["name"], "pass": r["failures"] == 0} for r in results],
         "verdict": "pass" if all_ok else "fail",
     }
     if args.format == "json":
         _emit(_json(payload))
     else:
-        for line in lines:
-            _emit(line)
-        _emit(f"verdict: {'pass' if all_ok else 'fail'}")
+        for check in payload["checks"]:
+            _emit(f"{'PASS' if check['pass'] else 'FAIL'}  {check['name']}")
+        _emit(f"verdict: {payload['verdict']}")
     return 0 if all_ok else 1
 
 

@@ -32,7 +32,6 @@ from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import chdtri, ndtr
 
 from . import cover as _cover
 from . import stats as _stats
@@ -336,6 +335,8 @@ def normality_check(values) -> dict:
     nondegenerate spread.  Acceptance thresholds live in the experiment
     configuration, not here.
     """
+    from scipy.special import ndtr  # deferred: scipy.special dominates a cold import
+
     arr = np.asarray(values, dtype=np.float64)
     count = arr.size
     if count < 1000:
@@ -448,14 +449,35 @@ def _binomial_pmf_window(n: int, values: np.ndarray, mean: float, sd: float) -> 
 # ---------------------------------------------------------------------------
 
 
+# the leaf count and the diameter of the unique tree at n = 2, where the
+# binomial law 2 + Binomial(n - 3, 1/2) does not apply
+N2_VALUES = {"leaves": 2, "diam": 1}
+
+
+def scalar_law_moments(statistic: str, n: int) -> tuple[float, float]:
+    """Exact mean and variance of the leaf count or the diameter at size n.
+
+    >>> scalar_law_moments("leaves", 11)
+    (6.0, 2.0)
+    >>> scalar_law_moments("diam", 2)
+    (1.0, 0.0)
+    """
+    if n < REGISTRY[statistic].min_n:
+        raise InvalidConfigError(f"{statistic} needs n >= {REGISTRY[statistic].min_n}")
+    if n == 2:
+        return float(N2_VALUES[statistic]), 0.0
+    return (n + 1) / 2, (n - 3) / 4
+
+
 def _scalar_law_report(
-    config: ExperimentConfig, parts: list[dict], *, n2_value: int, normality: bool
+    config: ExperimentConfig, parts: list[dict], *, normality: bool
 ) -> tuple[dict, dict, list]:
     """Leaves / diameter: binomial law plus moment and shape tests.
 
-    ``n2_value`` is the statistic on the unique tree at n = 2; ``normality``
-    adds the shape test.
+    ``normality`` adds the shape test.
     """
+    from scipy.special import chdtri  # deferred: scipy.special dominates a cold import
+
     n = config.n
     tol = config.tolerances
     values = _merged_values(parts)
@@ -463,10 +485,9 @@ def _scalar_law_report(
     hist = _histogram(values)
     count = values.size
 
-    th_mean, th_var = (n + 1) / 2, (n - 3) / 4 if n >= 3 else 0.0
+    th_mean, th_var = scalar_law_moments(config.statistic, n)
     if n == 2:
-        pmf = {n2_value: 1.0}
-        th_mean, th_var = float(n2_value), 0.0
+        pmf = {N2_VALUES[config.statistic]: 1.0}
     else:
         sd = math.sqrt(max(th_var, 1.0))
         pmf = _binomial_pmf_window(n, values, th_mean, sd)
@@ -682,11 +703,11 @@ class Statistic:
 REGISTRY: dict[str, Statistic] = {
     "leaves": Statistic(
         1, "leaves", 2, (), _leaves_chunk,
-        partial(_scalar_law_report, n2_value=2, normality=True),
+        partial(_scalar_law_report, normality=True),
     ),
     "diam": Statistic(
         2, "diam", 2, (), _diam_chunk,
-        partial(_scalar_law_report, n2_value=1, normality=False),
+        partial(_scalar_law_report, normality=False),
     ),
     "maxdeg": Statistic(3, "maxdeg", 4, (), _maxdeg_chunk, _maxdeg_report),
     "dcensus": Statistic(4, "dcensus", 4, ("kmax",), _dcensus_chunk, _dcensus_report),

@@ -1,0 +1,176 @@
+"""Exhaustive checks of the exact claims at small n.
+
+``CHECKS`` lists them in report order.  Each sweeps every object of each
+size n in a range, counting the objects it checked and the comparisons
+that failed: ``permtree verify`` runs them up to their caps through
+:func:`run`, the acceptance tests over larger ranges.  Package functions
+are looked up on their modules at call time (``cover.gamma_formula``, not
+a reference taken at import), so a wrapper installed on a module
+attribute is what a check calls.
+"""
+from __future__ import annotations
+
+import math
+import time
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Callable
+
+from . import codec, counting, cover, perm, stats, structure
+from .errors import InvalidConfigError
+
+# smallest bound at which every check sees at least one object
+MIN_MAX_N = 4
+
+
+def _each_tree(ok: Callable[[perm.Permutation], bool]):
+    """Per-size sweep applying ``ok`` to every tree permutation of size n."""
+
+    def at(n: int, workers: int) -> tuple[int, int]:
+        oks = [ok(p) for p in codec.enumerate_trees(n)]
+        return len(oks), oks.count(False)
+
+    return at
+
+
+def _each_code(ok: Callable[[codec.TreeCode], bool]):
+    """Per-size sweep applying ``ok`` to every code of size n."""
+
+    def at(n: int, workers: int) -> tuple[int, int]:
+        oks = [ok(c) for c in codec.enumerate_codes(n)]
+        return len(oks), oks.count(False)
+
+    return at
+
+
+def _census(n: int, workers: int) -> tuple[int, int]:
+    """All of S_n classified; one failure when any tally misses its closed form."""
+    table = counting.census(n, workers=workers)
+    ok = (
+        table.total == math.factorial(n)
+        and table.trees == codec.count_trees(n)
+        and table.connected == counting.indecomposable_count(n)
+        and table.forest_total == counting.forest_total(n)
+        and all(
+            table.forests_by_m.get(m, 0) == counting.forest_count(n, m) for m in range(1, n + 1)
+        )
+    )
+    return table.total, int(not ok)
+
+
+def _adjacency_ok(p: perm.Permutation) -> bool:
+    g = perm.build_graph(p)
+    fast = structure.adjacency_via_blocks(p)
+    for pos in range(1, p.n + 1):
+        v = p.letter(pos)
+        expected = set(g.neighbors(v))
+        if structure.neighbors_via_blocks(p, pos) != expected:
+            return False
+        if sorted(fast[v]) != sorted(expected):
+            return False
+    return True
+
+
+def _caterpillar_ok(p: perm.Permutation) -> bool:
+    """The nonleaves form a path (a single hub for a star) with the stated ends."""
+    n = p.n
+    g = perm.build_graph(p)
+    spine = structure.central_path(p).vertices
+    nonleaves = {v for v in range(1, n + 1) if g.degree(v) >= 2}
+    if len(set(spine)) != len(spine) or set(spine) != nonleaves:
+        return False
+    if any(b not in g.neighbors(a) for a, b in zip(spine, spine[1:])):
+        return False
+    first, last = p.values[0], p.values[-1]
+    if first == n or last == 1:
+        return spine == ((n if first == n else 1),)
+    return spine[0] in (1, first) and spine[-1] in (n, last)
+
+
+def _triple_ok(p: perm.Permutation) -> bool:
+    marked = cover.marking_algorithm(p).size
+    return marked == cover.gamma_formula(p) == cover.min_cover_oracle(p)
+
+
+def _decomposition_ok(code: codec.TreeCode) -> bool:
+    try:
+        terms = cover.gamma_decomposition(code)  # raises when its terms miss the formula
+    except RuntimeError:
+        return False
+    return terms.total == cover.gamma_formula(codec.decode(code))
+
+
+def _laws(n: int, workers: int) -> tuple[int, int]:
+    """Leaf and diameter laws, max degree = 2 + longest tail run, degree coupling.
+
+    A failure is a code whose degrees and blocks do not couple, a value of
+    the leaf or diameter law that the tally misses, or a max-degree
+    histogram that is not twice the tail-run histogram of n - 3 tosses.
+    """
+    total = codec.count_trees(n)
+    leaves, diameters, max_degrees = Counter(), Counter(), Counter()
+    failures = 0
+    for code in codec.enumerate_codes(n):
+        s = stats.tree_stats(codec.decode(code))
+        leaves[s.leaves] += 1
+        diameters[s.diameter] += 1
+        max_degrees[s.max_degree] += 1
+        failures += not stats.coupled_tree_stats_equivalence(code)
+    for k in range(2, n):
+        failures += Fraction(leaves[k], total) != stats.leaves_pmf(n, k)
+        failures += Fraction(diameters[k], total) != stats.diameter_pmf(n, k)
+    if n >= 4:
+        runs = Counter(
+            2 + stats.coin_stats(stats.CoinSequence(tosses, 0)).longest_tail_run
+            for tosses in product("HT", repeat=n - 3)
+        )
+        # two codes per toss sequence: the first symbol is free
+        failures += max_degrees != Counter({v: 2 * c for v, c in runs.items()})
+    return sum(leaves.values()), failures
+
+
+@dataclass(frozen=True)
+class Check:
+    """One exhaustive check: its report label, CLI cap and per-size sweep."""
+
+    label: str
+    cap: int  # largest n that ``permtree verify`` sweeps
+    min_n: int  # smallest n the claim is stated for
+    at: Callable[[int, int], tuple[int, int]]  # (n, workers) -> (checked, failures)
+
+    def sweep(self, max_n: int, workers: int = 1) -> tuple[int, int]:
+        """(objects checked, failed comparisons) over sizes min_n..max_n."""
+        parts = [self.at(n, workers) for n in range(self.min_n, max_n + 1)]
+        return sum(c for c, _ in parts), sum(f for _, f in parts)
+
+    def run(self, max_n: int, workers: int = 1) -> dict:
+        """The sweep up to ``max_n`` as a timed result record."""
+        start = time.perf_counter()
+        checked, failures = self.sweep(max_n, workers)
+        seconds = time.perf_counter() - start
+        name = f"{self.label} (n <= {max_n})"
+        return {"name": name, "checked": checked, "failures": failures, "seconds": seconds}
+
+
+CENSUS = Check("census vs closed forms", 8, 1, _census)
+ROUNDTRIP = Check(
+    "encode/decode roundtrip", 14, 1, _each_code(lambda c: codec.encode(codec.decode(c)) == c)
+)
+ADJACENCY = Check("block adjacency = inversion adjacency", 11, 2, _each_tree(_adjacency_ok))
+CATERPILLAR = Check("caterpillar shape and endpoints", 11, 3, _each_tree(_caterpillar_ok))
+COVER = Check("cover number triple agreement", 11, 1, _each_tree(_triple_ok))
+DECOMPOSITION = Check("cover run decomposition identity", 11, 4, _each_code(_decomposition_ok))
+LAWS = Check("exact leaf law and degree coupling", 12, 3, _laws)
+
+CHECKS = (CENSUS, ROUNDTRIP, ADJACENCY, CATERPILLAR, COVER, DECOMPOSITION, LAWS)
+
+
+def run(max_n: int, workers: int = 1) -> list[dict]:
+    """Every check up to ``min(max_n, cap)``: one result record each, in order."""
+    if max_n < MIN_MAX_N:
+        raise InvalidConfigError(f"max_n must be >= {MIN_MAX_N}; smaller bounds leave a check empty")
+    if workers < 1:
+        raise InvalidConfigError("workers must be >= 1")
+    return [check.run(min(max_n, check.cap), workers) for check in CHECKS]

@@ -1,8 +1,11 @@
 """Acceptance battery.
 
-One test per criterion (criterion 8 splits into its three clauses); each
-prints a single pass/fail line, visible with ``pytest -s``.  The heavy
-fixed-seed experiments (seed 0xC0FFEE, n = 10^4, 10^5 samples) are shared
+One test per criterion (criteria 1-3 share the census test, criterion 8
+splits into its three clauses); each prints a single pass/fail line with
+the objects it checked and the seconds it took, visible with ``pytest
+-s``.  The exhaustive parts of criteria 1-7 run the checks of
+``permtree.verify`` over their own ranges.  The heavy fixed-seed
+experiments (seed 0xC0FFEE, n = 10^4, 10^5 samples) are shared
 module-scoped fixtures.
 
 Criterion 8's variance clause demands var(gamma)/n in [0.25, 0.27], the
@@ -18,23 +21,11 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import time
-from collections import Counter
-from fractions import Fraction
-from itertools import product
 
 import pytest
 
-from permtree.codec import (
-    TreeCode,
-    _decode_values,
-    count_trees,
-    decode,
-    encode,
-    enumerate_codes,
-    enumerate_trees,
-    random_bits,
-)
-from permtree.counting import census, forest_count, forest_total, indecomposable_count
+from permtree import verify
+from permtree.codec import TreeCode, _decode_values, count_trees, enumerate_trees, random_bits
 from permtree.cover import (
     gamma_code,
     gamma_formula,
@@ -43,17 +34,8 @@ from permtree.cover import (
     min_cover_oracle,
 )
 from permtree.montecarlo import ExperimentConfig, run_experiment, substream
-from permtree.perm import Permutation, build_graph
-from permtree.stats import (
-    CoinSequence,
-    coin_stats,
-    coupled_tree_stats_equivalence,
-    diameter_pmf,
-    leaves_pmf,
-    maxdeg_cdf_approx,
-    tree_stats,
-)
-from permtree.structure import central_path, neighbors_via_blocks
+from permtree.perm import Permutation
+from permtree.stats import maxdeg_cdf_approx
 
 from conftest import brute_force_trees
 
@@ -63,8 +45,29 @@ BIG_SAMPLES = 100_000
 WORKERS = 2
 
 
-def _line(tag: str, ok: bool, text: str) -> None:
-    print(f"criterion {tag}: {'PASS' if ok else 'FAIL'} - {text}", flush=True)
+def _line(tag: str, ok: bool, text: str, *results: dict) -> None:
+    """Print the verdict with the objects checked and seconds spent by ``results``."""
+    checked = sum(r["checked"] for r in results)
+    seconds = sum(r["seconds"] for r in results)
+    print(
+        f"criterion {tag}: {'PASS' if ok else 'FAIL'} - {text} [{checked} objects, {seconds:.1f} s]",
+        flush=True,
+    )
+
+
+def _passed(results: list[dict]) -> bool:
+    return all(r["failures"] == 0 for r in results)
+
+
+def _experiment(statistic: str, n: int = BIG_N, **extra) -> tuple:
+    """(report, record) for one fixed-seed run of 10^5 samples."""
+    start = time.perf_counter()
+    report = run_experiment(
+        ExperimentConfig(
+            n=n, samples=BIG_SAMPLES, seed=SEED, statistic=statistic, workers=WORKERS, **extra
+        )
+    )
+    return report, {"checked": BIG_SAMPLES, "seconds": time.perf_counter() - start}
 
 
 # ---------------------------------------------------------------------------
@@ -73,38 +76,23 @@ def _line(tag: str, ok: bool, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def census_tables():
-    start = time.time()
-    tables = {n: census(n) for n in range(1, 9)}
-    return tables, time.time() - start
-
-
-@pytest.fixture(scope="module")
 def gamma_report():
-    return run_experiment(
-        ExperimentConfig(n=BIG_N, samples=BIG_SAMPLES, seed=SEED, statistic="gamma", workers=WORKERS)
-    )
+    return _experiment("gamma")
 
 
 @pytest.fixture(scope="module")
 def leaves_report():
-    return run_experiment(
-        ExperimentConfig(n=BIG_N, samples=BIG_SAMPLES, seed=SEED, statistic="leaves", workers=WORKERS)
-    )
+    return _experiment("leaves")
 
 
 @pytest.fixture(scope="module")
 def dcensus_report():
-    return run_experiment(
-        ExperimentConfig(n=BIG_N, samples=BIG_SAMPLES, seed=SEED, statistic="dcensus", workers=WORKERS)
-    )
+    return _experiment("dcensus")
 
 
 @pytest.fixture(scope="module")
 def dcov_report():
-    return run_experiment(
-        ExperimentConfig(n=BIG_N, samples=BIG_SAMPLES, seed=SEED, statistic="dcov", m=5, workers=WORKERS)
-    )
+    return _experiment("dcov", m=5)
 
 
 # ---------------------------------------------------------------------------
@@ -112,32 +100,18 @@ def dcov_report():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_tree_counts(census_tables):
-    tables, elapsed = census_tables
-    ok = all(tables[n].trees == count_trees(n) for n in range(1, 9))
-    ok = ok and tables[1].trees == 1
-    _line("1", ok and elapsed < 60, f"census trees = 2^(n-2) for n=1..8 ({elapsed:.1f}s)")
+def test_criteria_1_to_3_census():
+    result = verify.CENSUS.run(8)
+    ok = result["failures"] == 0 and result["checked"] == sum(math.factorial(n) for n in range(1, 9))
+    _line(
+        "1-3",
+        ok and result["seconds"] < 60,
+        "census trees = 2^(n-2), forests = f(n,m) with the 3f-f recurrence, "
+        "connected = factorial convolution, n=1..8",
+        result,
+    )
     assert ok
-    assert elapsed < 60
-
-
-def test_criterion_2_forest_counts(census_tables):
-    tables, _ = census_tables
-    ok = True
-    for n in range(1, 9):
-        table = tables[n]
-        for m in range(1, n + 1):
-            ok &= table.forests_by_m.get(m, 0) == forest_count(n, m)
-        ok &= table.forest_total == forest_total(n)
-    _line("2", ok, "census forests match f(n,m) and the 3f-f recurrence, n=1..8")
-    assert ok
-
-
-def test_criterion_3_indecomposable_counts(census_tables):
-    tables, _ = census_tables
-    ok = all(tables[n].connected == indecomposable_count(n) for n in range(1, 9))
-    _line("3", ok, "census connected tally matches the factorial convolution, n=1..8")
-    assert ok
+    assert result["seconds"] < 60
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +120,13 @@ def test_criterion_3_indecomposable_counts(census_tables):
 
 
 def test_criterion_4_bijection():
-    ok = True
-    for n in range(1, 19):
-        for code in enumerate_codes(n):
-            if encode(decode(code)) != code:
-                ok = False
+    result = verify.ROUNDTRIP.run(18)
+    ok = result["failures"] == 0
     for n in range(1, 9):
         image = {p.values for p in enumerate_trees(n)}
         ok &= image == brute_force_trees(n)
         ok &= len(image) == count_trees(n)
-    _line("4", ok, "encode(decode) = id for n<=18; decode image = brute-force trees for n<=8")
+    _line("4", ok, "encode(decode) = id for n<=18; decode image = brute-force trees for n<=8", result)
     assert ok
 
 
@@ -165,30 +136,10 @@ def test_criterion_4_bijection():
 
 
 def test_criterion_5_structure_lemmas():
-    start = time.time()
-    ok = True
-    for n in range(2, 13):
-        for p in enumerate_trees(n):
-            g = build_graph(p)
-            for pos in range(1, n + 1):
-                if neighbors_via_blocks(p, pos) != set(g.neighbors(p.letter(pos))):
-                    ok = False
-            if n < 3:
-                continue
-            spine = central_path(p).vertices
-            nonleaves = {v for v in range(1, n + 1) if g.degree(v) >= 2}
-            if set(spine) != nonleaves:
-                ok = False
-            for a, b in zip(spine, spine[1:]):
-                if b not in g.neighbors(a):
-                    ok = False
-            first, last = p.values[0], p.values[-1]
-            if first == n or last == 1:
-                ok &= len(spine) == 1
-            else:
-                ok &= spine[0] in {1, first} and spine[-1] in {n, last}
-    elapsed = time.time() - start
-    _line("5", ok and elapsed < 120, f"block adjacency and caterpillar shape, n<=12 ({elapsed:.1f}s)")
+    results = [verify.ADJACENCY.run(12), verify.CATERPILLAR.run(12)]
+    elapsed = sum(r["seconds"] for r in results)
+    ok = _passed(results)
+    _line("5", ok and elapsed < 120, "block adjacency and caterpillar shape, n<=12", *results)
     assert ok
     assert elapsed < 120
 
@@ -199,30 +150,9 @@ def test_criterion_5_structure_lemmas():
 
 
 def test_criterion_6_exact_laws():
-    ok = True
-    for n in range(3, 15):
-        total = count_trees(n)
-        leaf_hist: Counter = Counter()
-        diam_hist: Counter = Counter()
-        deg_hist: Counter = Counter()
-        for p in enumerate_trees(n):
-            s = tree_stats(p)
-            leaf_hist[s.leaves] += 1
-            diam_hist[s.diameter] += 1
-            deg_hist[s.max_degree] += 1
-        for l in range(2, n):
-            ok &= Fraction(leaf_hist.get(l, 0), total) == leaves_pmf(n, l)
-        for d in range(2, n):
-            ok &= Fraction(diam_hist.get(d, 0), total) == diameter_pmf(n, d)
-        if n >= 4:
-            run_hist: Counter = Counter()
-            for tosses in product("HT", repeat=n - 3):
-                run_hist[2 + coin_stats(CoinSequence(tosses, 0)).longest_tail_run] += 1
-            ok &= set(run_hist) == set(deg_hist)
-            ok &= all(deg_hist[v] == 2 * c for v, c in run_hist.items())
-        for code in enumerate_codes(n):
-            ok &= coupled_tree_stats_equivalence(code)
-    _line("6", ok, "exact laws: leaves/diameter binomial, max degree = 2 + tail run, degree coupling (n<=14)")
+    result = verify.LAWS.run(14)
+    ok = result["failures"] == 0
+    _line("6", ok, "exact laws: leaves/diameter binomial, max degree = 2 + tail run, degree coupling (n<=14)", result)
     assert ok
 
 
@@ -252,12 +182,8 @@ def _triple_range(args: tuple) -> tuple[int, int]:
 
 
 def test_criterion_7_triple_agreement():
-    ok = True
-    for n in range(1, 13):
-        for p in enumerate_trees(n):
-            a = marking_algorithm(p).size
-            if a != gamma_formula(p) or a != min_cover_oracle(p):
-                ok = False
+    results = [verify.COVER.run(12), verify.DECOMPOSITION.run(12)]
+    sampled_start = time.perf_counter()
     sampled_n = 1000
     samples = 100_000
     block = 2500
@@ -269,8 +195,15 @@ def test_criterion_7_triple_agreement():
         parts = pool.map(_triple_range, tasks)
     checked = sum(p[0] for p in parts)
     mismatches = sum(p[1] for p in parts)
-    ok = ok and checked == samples and mismatches == 0
-    _line("7", ok, f"marking = formula = exact minimizer (n<=12 exhaustive; {checked} sampled at n=1000)")
+    results.append({"checked": checked, "failures": mismatches, "seconds": time.perf_counter() - sampled_start})
+    ok = _passed(results) and checked == samples
+    _line(
+        "7",
+        ok,
+        f"marking = formula = exact minimizer and the run decomposition (n<=12 exhaustive; "
+        f"{checked} sampled at n=1000)",
+        *results,
+    )
     assert ok
 
 
@@ -280,9 +213,10 @@ def test_criterion_7_triple_agreement():
 
 
 def test_criterion_8a_gamma_mean(gamma_report):
-    ratio = gamma_report.empirical["mean_over_n"]
+    report, record = gamma_report
+    ratio = report.empirical["mean_over_n"]
     ok = 0.328 <= ratio <= 0.338
-    _line("8a", ok, f"mean gamma/n = {ratio:.5f} in [0.328, 0.338]")
+    _line("8a", ok, f"mean gamma/n = {ratio:.5f} in [0.328, 0.338]", record)
     assert ok
 
 
@@ -294,22 +228,25 @@ def test_criterion_8a_gamma_mean(gamma_report):
     " suite verifies three independent ways.",
 )
 def test_criterion_8b_gamma_variance_band(gamma_report):
-    ratio = gamma_report.empirical["var_over_n"]
+    report, record = gamma_report
+    ratio = report.empirical["var_over_n"]
     ok = 0.25 <= ratio <= 0.27
     _line(
         "8b",
         ok,
         f"var gamma/n = {ratio:.5f} vs quoted band [0.25, 0.27] "
         f"(exact rate 2/27 = {float(gamma_variance_rate()):.5f}; expected failure)",
+        record,
     )
     assert ok
 
 
 def test_criterion_8c_window_means(dcensus_report):
-    window_tests = [t for t in dcensus_report.tests if t["name"].startswith("window_count_")]
+    report, record = dcensus_report
+    window_tests = [t for t in report.tests if t["name"].startswith("window_count_")]
     ok = len(window_tests) == 6 and all(t["pass"] for t in window_tests)
     worst = max(t["value"] for t in window_tests)
-    _line("8c", ok, f"window-count means within 3 standard errors for k<=6 (worst z = {worst:.2f})")
+    _line("8c", ok, f"window-count means within 3 standard errors for k<=6 (worst z = {worst:.2f})", record)
     assert ok
 
 
@@ -319,9 +256,9 @@ def test_criterion_8c_window_means(dcensus_report):
 
 
 def test_criterion_9_normality_and_covariance(gamma_report, leaves_report, dcov_report):
-    g_ks = gamma_report.empirical["normality"]["ks"]
-    d1_ks = leaves_report.empirical["normality"]["ks"]
-    cov_tests = [t for t in dcov_report.tests if t["name"].startswith("cov_")]
+    g_ks = gamma_report[0].empirical["normality"]["ks"]
+    d1_ks = leaves_report[0].empirical["normality"]["ks"]
+    cov_tests = [t for t in dcov_report[0].tests if t["name"].startswith("cov_")]
     worst_cov = max(t["value"] for t in cov_tests)
     ok = g_ks < 0.01 and d1_ks < 0.01 and all(t["pass"] for t in cov_tests)
     _line(
@@ -329,6 +266,9 @@ def test_criterion_9_normality_and_covariance(gamma_report, leaves_report, dcov_
         ok,
         f"gamma ks = {g_ks:.4f} < 0.01, leaf-count ks = {d1_ks:.4f} < 0.01, "
         f"covariance entries within 0.02 (worst {worst_cov:.4f})",
+        gamma_report[1],
+        leaves_report[1],
+        dcov_report[1],
     )
     assert g_ks < 0.01
     assert d1_ks < 0.01
@@ -341,15 +281,13 @@ def test_criterion_9_normality_and_covariance(gamma_report, leaves_report, dcov_
 
 
 def test_criterion_10_maxdeg_cdf():
-    report = run_experiment(
-        ExperimentConfig(n=2051, samples=BIG_SAMPLES, seed=SEED, statistic="maxdeg", workers=WORKERS)
-    )
+    report, record = _experiment("maxdeg", n=2051)
     diffs = {
         int(k): abs(report.empirical["cdf_shifted"][k] - report.theory["cdf_shifted"][k])
         for k in report.empirical["cdf_shifted"]
     }
     ok = set(diffs) == set(range(-2, 7)) and all(v <= 0.02 for v in diffs.values())
-    _line("10", ok, f"shifted max-degree CDF within 0.02 at k=-2..6 (worst {max(diffs.values()):.4f})")
+    _line("10", ok, f"shifted max-degree CDF within 0.02 at k=-2..6 (worst {max(diffs.values()):.4f})", record)
     assert ok
     # spot value: n-3 = 2048 is a power of two, so the k=0 limit is exp(-2)
     assert report.theory["cdf_shifted"]["0"] == pytest.approx(math.exp(-2), abs=1e-12)
@@ -362,16 +300,7 @@ def test_criterion_10_maxdeg_cdf():
 
 
 def test_criterion_11_geometric_runs():
-    report = run_experiment(
-        ExperimentConfig(
-            n=BIG_N,
-            samples=BIG_SAMPLES,
-            seed=SEED,
-            statistic="runs_geometric",
-            q=0.5,
-            workers=WORKERS,
-        )
-    )
+    report, record = _experiment("runs_geometric", q=0.5)
     by_name = {t["name"]: t for t in report.tests}
     ok = by_name["mean"]["pass"] and by_name["variance"]["pass"]
     _line(
@@ -379,5 +308,6 @@ def test_criterion_11_geometric_runs():
         ok,
         f"run-count mean z = {by_name['mean']['value']:.2f}, "
         f"variance z = {by_name['variance']['value']:.2f} (3-SE bands at q=1/2)",
+        record,
     )
     assert ok

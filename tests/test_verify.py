@@ -1,0 +1,88 @@
+"""The shared exhaustive checks: coverage, sensitivity and report names."""
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+
+from permtree import codec, counting, cover, stats, structure, verify
+from permtree.codec import TreeCode, count_trees
+from permtree.structure import CentralPath
+
+# ``permtree verify --max-n 14`` reports these names; its stdout digest pins them
+NAMES_AT_14 = [
+    "census vs closed forms (n <= 8)",
+    "encode/decode roundtrip (n <= 14)",
+    "block adjacency = inversion adjacency (n <= 11)",
+    "caterpillar shape and endpoints (n <= 11)",
+    "cover number triple agreement (n <= 11)",
+    "cover run decomposition identity (n <= 11)",
+    "exact leaf law and degree coupling (n <= 12)",
+]
+
+
+def _trees(lo: int, hi: int) -> int:
+    return sum(count_trees(n) for n in range(lo, hi + 1))
+
+
+@pytest.fixture(scope="module")
+def at_caps():
+    return verify.run(14)
+
+
+def test_names_match_the_pinned_report(at_caps):
+    assert [r["name"] for r in at_caps] == NAMES_AT_14
+
+
+def test_object_counts_at_the_caps(at_caps):
+    assert [r["checked"] for r in at_caps] == [
+        sum(math.factorial(n) for n in range(1, 9)),
+        _trees(1, 14),
+        _trees(2, 11),
+        _trees(3, 11),
+        _trees(1, 11),
+        _trees(4, 11),
+        _trees(3, 12),
+    ]
+    assert [r["failures"] for r in at_caps] == [0] * len(verify.CHECKS)
+
+
+def test_every_check_sees_objects_at_the_smallest_bound():
+    results = verify.run(verify.MIN_MAX_N)
+    assert all(r["checked"] >= 1 and r["failures"] == 0 for r in results)
+
+
+def _off_by_one(f):
+    return lambda *args: f(*args) + 1
+
+
+# (check, module, attribute, mutation of the routine the check calls)
+MUTANTS = [
+    (verify.CENSUS, counting, "forest_total", _off_by_one),
+    (verify.ROUNDTRIP, codec, "encode", lambda f: lambda p: TreeCode.from_packed(p.n, 0)),
+    (verify.ADJACENCY, structure, "neighbors_via_blocks",
+     lambda f: lambda p, pos: set(sorted(f(p, pos))[1:])),
+    (verify.ADJACENCY, structure, "adjacency_via_blocks",
+     lambda f: lambda p: [nbrs[1:] for nbrs in f(p)]),
+    (verify.CATERPILLAR, structure, "central_path",
+     lambda f: lambda p: CentralPath(tuple(sorted(f(p).vertices)))),
+    (verify.COVER, cover, "gamma_formula", _off_by_one),
+    (verify.DECOMPOSITION, cover, "run_lengths", lambda f: lambda bits: [1] * len(bits)),
+    (verify.LAWS, stats, "diameter_pmf", lambda f: lambda n, d: f(n, d + 1)),
+    (verify.LAWS, stats, "coin_stats",
+     lambda f: lambda seq: dataclasses.replace(f(seq), longest_tail_run=0)),
+    (verify.LAWS, stats, "coupled_tree_stats_equivalence", lambda f: lambda code: False),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, name, mutate",
+    MUTANTS,
+    ids=[f"{m.__name__.rsplit('.', 1)[-1]}.{name}" for _, m, name, _ in MUTANTS],
+)
+def test_a_broken_routine_is_reported(monkeypatch, check, module, name, mutate):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    checked, failures = check.sweep(7)
+    assert checked > 0
+    assert failures > 0
