@@ -1,6 +1,6 @@
 """Acceptance battery.
 
-One test per criterion (criteria 1-3 share the census test, criterion 8
+One test per criterion (criteria 1-3 share one census run, criterion 8
 splits into its three clauses); each prints a single pass/fail line with
 the objects it checked and the seconds it took, visible with ``pytest
 -s``.  The exhaustive parts of criteria 1-7 run the checks of
@@ -26,6 +26,7 @@ import pytest
 
 from permtree import verify
 from permtree.codec import TreeCode, _decode_values, count_trees, enumerate_trees, random_bits
+from permtree.counting import census, forest_count, forest_total, indecomposable_count
 from permtree.cover import (
     gamma_code,
     gamma_formula,
@@ -100,18 +101,41 @@ def dcov_report():
 # ---------------------------------------------------------------------------
 
 
-def test_criteria_1_to_3_census():
+@pytest.fixture(scope="module")
+def census_run():
+    """The shared census check over n <= 8, and the tables of each clause."""
     result = verify.CENSUS.run(8)
+    tables = {n: census(n) for n in range(1, 9)}
+    return result, tables
+
+
+def test_criterion_1_tree_counts(census_run):
+    result, tables = census_run
     ok = result["failures"] == 0 and result["checked"] == sum(math.factorial(n) for n in range(1, 9))
-    _line(
-        "1-3",
-        ok and result["seconds"] < 60,
-        "census trees = 2^(n-2), forests = f(n,m) with the 3f-f recurrence, "
-        "connected = factorial convolution, n=1..8",
-        result,
-    )
+    ok = ok and all(tables[n].trees == count_trees(n) for n in range(1, 9)) and tables[1].trees == 1
+    _line("1", ok and result["seconds"] < 60, "census trees = 2^(n-2) over all of S_n, n=1..8", result)
     assert ok
     assert result["seconds"] < 60
+
+
+def test_criterion_2_forest_counts(census_run):
+    result, tables = census_run
+    ok = result["failures"] == 0
+    for n in range(1, 9):
+        table = tables[n]
+        for m in range(1, n + 1):
+            ok &= table.forests_by_m.get(m, 0) == forest_count(n, m)
+        ok &= table.forest_total == forest_total(n)
+    _line("2", ok, "census forests match f(n,m) and the 3f-f recurrence, n=1..8", result)
+    assert ok
+
+
+def test_criterion_3_indecomposable_counts(census_run):
+    result, tables = census_run
+    ok = result["failures"] == 0
+    ok &= all(tables[n].connected == indecomposable_count(n) for n in range(1, 9))
+    _line("3", ok, "census connected tally matches the factorial convolution, n=1..8", result)
+    assert ok
 
 
 # ---------------------------------------------------------------------------
