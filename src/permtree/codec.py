@@ -12,13 +12,16 @@ unique sequence of two insertion moves, one per new letter 3, 4, ..., n:
 Histories are stored as ``TreeCode`` bit sequences of length n-2 (bit j
 drives the insertion of letter j+3), so there are exactly 2^(n-2) tree
 permutations of length n >= 2, and a uniform random code gives a uniform
-random tree.  Codes pack little-endian into integers (bit j has weight
-2^j); enumeration walks the packed integers 0 .. 2^(n-2)-1 in order.
+random tree.  The code of a tree permutation is also its left-to-right
+maxima flags at positions 2..n-1, which is how :func:`encode` reads it.
+Codes pack little-endian into integers (bit j has weight 2^j);
+enumeration walks the packed integers 0 .. 2^(n-2)-1 in order.
 """
 from __future__ import annotations
 
 import json
 import os
+from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,9 +31,6 @@ from .perm import Permutation, is_tree_permutation
 
 DEFAULT_ENUM_CAP = 30
 ENUM_CAP_ENV = "PERMTREE_ENUM_CAP"
-
-BIT_FIRST_KIND = 1   # insert-new-max-before-last move
-BIT_SECOND_KIND = 0  # replace-max-and-append move
 
 
 class TreeCode:
@@ -166,50 +166,23 @@ def decode(code: TreeCode) -> Permutation:
     return Permutation(_decode_values(code.n, code.bits))
 
 
-def _encode_bits(perm: Permutation) -> list[int]:
-    """Peel letters n, n-1, ..., 3 and report the move that produced each.
+def code_flags(perm: Permutation) -> list[int]:
+    """The code of a tree permutation, read as its interior flags.
 
-    Runs in O(n): the letters live in fixed slots of a doubly linked list,
-    so removals never shift positions.  Assumes ``perm`` is a tree
-    permutation of length >= 2.
+    Letter k+1 was inserted by the first-kind move exactly when position k
+    holds a left-to-right maximum, so the code is the flags at positions
+    2..n-1.  Decoding is a bijection onto the tree permutations, so the
+    flags decode back to ``perm`` exactly when ``perm`` is a tree;
+    otherwise raises :class:`NotATreeError`.
+
+    >>> code_flags(Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10]))
+    [1, 0, 0, 1, 1, 1, 0, 0, 0]
     """
-    n = perm.n
-    vals = list(perm.values)
-    nxt = list(range(1, n)) + [-1]
-    prv = [-1] + list(range(n - 1))
-    pos = [0] * (n + 1)
-    for slot, v in enumerate(vals):
-        pos[v] = slot
-    tail = n - 1
-
-    def unlink(slot: int) -> None:
-        a, b = prv[slot], nxt[slot]
-        if a != -1:
-            nxt[a] = b
-        if b != -1:
-            prv[b] = a
-
-    rev_bits = []
-    cur = n
-    while cur > 2:
-        m = cur - vals[tail]
-        if m > 1:
-            # Reverse of the first kind: drop the largest letter.
-            rev_bits.append(BIT_FIRST_KIND)
-            unlink(pos[cur])
-        else:
-            # Reverse of the second kind: drop the last letter (cur - 1),
-            # then relabel cur back down to cur - 1.
-            rev_bits.append(BIT_SECOND_KIND)
-            old_tail = tail
-            tail = prv[tail]
-            unlink(old_tail)
-            slot = pos[cur]
-            vals[slot] = cur - 1
-            pos[cur - 1] = slot
-        cur -= 1
-    rev_bits.reverse()
-    return rev_bits
+    w = perm.values
+    flags = [int(v == top) for v, top in zip(w[1:-1], islice(accumulate(w, max), 1, None))]
+    if _decode_values(perm.n, flags) != list(w):
+        raise NotATreeError(f"inversion graph of {perm} is not a tree")
+    return flags
 
 
 def encode(perm: Permutation) -> TreeCode:
@@ -222,11 +195,7 @@ def encode(perm: Permutation) -> TreeCode:
     >>> encode(Permutation([3, 1, 4, 2])).bits
     (0, 1)
     """
-    if not is_tree_permutation(perm):
-        raise NotATreeError(f"inversion graph of {perm} is not a tree")
-    if perm.n == 1:
-        return TreeCode(1, ())
-    return TreeCode(perm.n, _encode_bits(perm))
+    return TreeCode(perm.n, code_flags(perm))
 
 
 def count_trees(n: int) -> int:

@@ -59,6 +59,11 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     vertices disappear.  Components of size 2 at the end contribute their
     smaller-valued vertex; size-1 components contribute nothing.
 
+    A leaf's component has >= 3 vertices exactly when its neighbor is not
+    a leaf, and after the first round the only leaves whose neighbor can
+    be marked are those whose degree just fell to 1, so each round reads a
+    leaf list and the whole run is O(n).
+
     >>> marking_algorithm(Permutation([2, 3, 4, 1])).chosen
     frozenset({1})
     >>> marking_algorithm(Permutation([2, 4, 1, 3])).size
@@ -67,57 +72,37 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     n = perm.n
     if n == 1:
         return CoverResult(frozenset(), 0, frozenset())
-    adj = [set(a) for a in _adjacency(perm, adjacency)]
+    adj = _adjacency(perm, adjacency)
     deg = [len(a) for a in adj]
-    marked: set[int] = set()
-    first_round: frozenset[int] = frozenset()
-    active = {v for v in range(1, n + 1) if deg[v] > 0}
-    rounds = 0
+    marked = [False] * (n + 1)
+
+    def partner(leaf: int) -> int:
+        # edges vanish only at marked vertices, so a leaf keeps one unmarked neighbor
+        return next(u for u in adj[leaf] if not marked[u])
+
+    chosen: list[int] = []
+    first_round = None
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
     while True:
-        newly: set[int] = set()
-        seen: set[int] = set()
-        for s in active:
-            if s in seen or deg[s] == 0:
-                continue
-            comp = [s]
-            seen.add(s)
-            i = 0
-            while i < len(comp):
-                for u in adj[comp[i]]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                i += 1
-            if len(comp) < 3:
-                continue
-            for u in comp:
-                if deg[u] == 1:
-                    newly.add(next(iter(adj[u])))
+        newly = {v for v in (partner(u) for u in leaves if deg[u] == 1) if deg[v] >= 2}
+        if first_round is None:
+            first_round = frozenset(newly)
         if not newly:
             break
-        if rounds == 0:
-            first_round = frozenset(newly)
-        rounds += 1
-        marked |= newly
+        chosen += newly
         for v in newly:
-            for u in adj[v]:
-                adj[u].discard(v)
-                deg[u] -= 1
-                if deg[u] == 0:
-                    active.discard(u)
-            adj[v].clear()
+            marked[v] = True
+        leaves = []
+        for v in newly:
             deg[v] = 0
-            active.discard(v)
+            for u in adj[v]:
+                if not marked[u]:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        leaves.append(u)
     # surviving components are single edges; take the smaller endpoint
-    for v in sorted(active):
-        if deg[v] == 1:
-            u = next(iter(adj[v]))
-            if v < u:
-                marked.add(v)
-                adj[u].clear()
-                adj[v].clear()
-                deg[u] = deg[v] = 0
-    return CoverResult(frozenset(marked), len(marked), first_round)
+    chosen += [v for v in range(1, n + 1) if deg[v] == 1 and v < partner(v)]
+    return CoverResult(frozenset(chosen), len(chosen), first_round)
 
 
 def gamma_formula(perm: Permutation, adjacency: list[list[int]] | None = None) -> int:

@@ -11,13 +11,14 @@ tested against.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
+from .codec import code_flags
 from .errors import TooSmallError
 from .perm import Permutation
-
-W1 = "W1"  # left-to-right maxima side
-W0 = "W0"  # the rest
 
 
 @dataclass(frozen=True)
@@ -37,30 +38,23 @@ class Bipartition:
 
 
 @dataclass(frozen=True)
-class Block:
-    """Maximal run of same-side positions (1-based inclusive interval)."""
-
-    start_pos: int
-    end_pos: int
-    side: str
-    first_letter: int
-    last_letter: int
-
-    @property
-    def size(self) -> int:
-        return self.end_pos - self.start_pos + 1
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: tuple[Block, ...]
+    """Maximal runs of same-side positions, by their 1-based start positions.
+
+    ``starts`` holds each block's start, then n + 1, so block t covers the
+    positions ``starts[t] .. starts[t + 1] - 1``.  Blocks alternate sides:
+    block t holds left-to-right maxima exactly when t is even.
+    """
+
+    starts: tuple[int, ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+        s = self.starts
+        return tuple(b - a for a, b in zip(s, s[1:]))
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.starts) - 1
 
 
 @dataclass(frozen=True)
@@ -88,48 +82,35 @@ def bipartition(perm: Permutation) -> Bipartition:
 
 
 def blocks(perm: Permutation) -> BlockDecomposition:
-    """Maximal alternating runs of the bipartition flags.
+    """Maximal alternating runs of the left-to-right-maxima flags.
 
-    For a tree permutation the runs alternate W1, W0, W1, ..., W0 (the
-    first letter is always a maximum, the last never is), and within a
-    block the letters increase, so the first/last letters are the
-    smallest/largest of the block.
+    The flags are 1, the code, 0 (just 1 for n = 1), so the runs alternate
+    maxima, rest, maxima, ..., rest, and within a block the letters
+    increase: a block's first and last letters are its smallest and
+    largest.  Raises :class:`NotATreeError` unless ``perm`` is a tree
+    permutation.
 
+    >>> blocks(Permutation([4, 1, 2, 3])).starts
+    (1, 2, 5)
     >>> blocks(Permutation([4, 1, 2, 3])).sizes
     (1, 3)
     """
-    flags = bipartition(perm).flags
-    w = perm.values
-    out = []
-    start = 0
-    for pos in range(1, len(w) + 1):
-        if pos == len(w) or flags[pos] != flags[start]:
-            out.append(
-                Block(
-                    start_pos=start + 1,
-                    end_pos=pos,
-                    side=W1 if flags[start] else W0,
-                    first_letter=w[start],
-                    last_letter=w[pos - 1],
-                )
-            )
-            start = pos
-    return BlockDecomposition(tuple(out))
-
-
-def _letters(perm: Permutation, blk: Block) -> list[int]:
-    return list(perm.values[blk.start_pos - 1 : blk.end_pos])
+    n = perm.n
+    flags = [1, *code_flags(perm), 0] if n > 1 else [1]
+    changes = compress(range(2, n + 1), map(ne, flags, flags[1:]))
+    return BlockDecomposition((1, *changes, n + 1))
 
 
 def neighbors_via_blocks(perm: Permutation, pos: int) -> set[int]:
     """Neighbor set of the letter at ``pos`` computed from blocks alone.
 
     The six cases: a letter that is not the hub of its block pair is a
-    leaf hanging off the adjacent hub; the last letter of a W1 block is
-    adjacent to all of the following W0 block plus the first letter of the
-    W0 block after that (if any); symmetrically for the first letter of a
-    W0 block.  Must equal the inversion-graph adjacency on every tree
-    permutation.
+    leaf hanging off the adjacent hub; the last letter of a maxima block is
+    adjacent to all of the following block plus the first letter of the
+    block three further on (if any); symmetrically for the first letter of
+    a non-maxima block.  Must equal the inversion-graph adjacency on every
+    tree permutation.  Raises :class:`IndexError` for a position outside
+    1..n.
 
     >>> w = Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10])
     >>> sorted(neighbors_via_blocks(w, 2))
@@ -137,85 +118,85 @@ def neighbors_via_blocks(perm: Permutation, pos: int) -> set[int]:
     >>> sorted(neighbors_via_blocks(w, 8))
     [5, 6, 7, 11]
     """
-    dec = blocks(perm)
-    blks = dec.blocks
-    t = next(i for i, b in enumerate(blks) if b.start_pos <= pos <= b.end_pos)
-    blk = blks[t]
-    v = perm.letter(pos)
-
-    if blk.side == W1:
-        if v != blk.last_letter:
-            return {blks[t + 1].first_letter}
-        nbrs = set(_letters(perm, blks[t + 1]))
-        if t + 1 < len(blks) - 1:
-            nbrs.add(blks[t + 3].first_letter)
+    perm.letter(pos)
+    starts = blocks(perm).starts
+    if perm.n == 1:
+        return set()
+    w = perm.values
+    t = bisect_right(starts, pos) - 1
+    first, end = starts[t], starts[t + 1]
+    if t % 2 == 0:
+        if pos != end - 1:
+            return {w[end - 1]}
+        nbrs = set(w[end - 1 : starts[t + 2] - 1])
+        if t + 3 < len(starts) - 1:
+            nbrs.add(w[starts[t + 3] - 1])
         return nbrs
-    if v != blk.first_letter:
-        return {blks[t - 1].last_letter}
-    nbrs = set(_letters(perm, blks[t - 1]))
-    if t - 1 > 0:
-        nbrs.add(blks[t - 3].last_letter)
+    if pos != first:
+        return {w[first - 2]}
+    nbrs = set(w[starts[t - 1] - 1 : first - 1])
+    if t > 1:
+        nbrs.add(w[starts[t - 2] - 2])
     return nbrs
 
 
 def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
     """Full adjacency (indexed by letter, entry 0 unused) in O(n).
 
-    Emits each edge from its W1-side case, which covers the edge set
-    exactly once: leaves of a W1 block attach to the first letter of the
-    next block, and the last letter of a W1 block takes the whole next
-    block plus one letter two blocks further on.
+    Emits each edge from its maxima-side case, which covers the edge set
+    exactly once: leaves of a maxima block attach to the first letter of
+    the next block, and the last letter of a maxima block takes the whole
+    next block plus the first letter of the block three further on.  Both
+    sides increase left to right, so every list comes out ascending.
     """
     n = perm.n
+    starts = blocks(perm).starts
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     if n == 1:
         return adj
-    blks = blocks(perm).blocks
     w = perm.values
-    for t in range(0, len(blks), 2):
-        b1, b0 = blks[t], blks[t + 1]
-        hub = b0.first_letter
-        for p in range(b1.start_pos, b1.end_pos):
-            adj[w[p - 1]].append(hub)
-            adj[hub].append(w[p - 1])
-        tail = b1.last_letter
-        for p in range(b0.start_pos, b0.end_pos + 1):
-            adj[tail].append(w[p - 1])
-            adj[w[p - 1]].append(tail)
-        if t + 3 < len(blks):
-            far = blks[t + 3].first_letter
+    last = len(starts) - 1
+    for t in range(0, last, 2):
+        a, b, c = starts[t], starts[t + 1], starts[t + 2]
+        tail, hub = w[b - 2], w[b - 1]
+        leaves = w[a - 1 : b - 2]
+        adj[hub] += leaves
+        for v in leaves:
+            adj[v].append(hub)
+        rest = w[b - 1 : c - 1]
+        adj[tail] += rest
+        for v in rest:
+            adj[v].append(tail)
+        if t + 3 < last:
+            far = w[starts[t + 3] - 1]
             adj[tail].append(far)
             adj[far].append(tail)
-    for lst in adj:
-        lst.sort()
     return adj
 
 
 def degree_sequence(perm: Permutation) -> tuple[int, ...]:
     """Degree of the letter at each position, from block sizes only.
 
-    With 2k blocks of sizes b_1, ..., b_2k: inside the i-th pair, all W1
-    letters but the last have degree 1, the last W1 letter has degree
-    b_2i + 1 (one less for the final pair), the first W0 letter has degree
-    b_{2i-1} + 1 (one less for the first pair), and the remaining W0
-    letters have degree 1.
+    With 2k blocks of sizes b_1, ..., b_2k: inside the i-th pair, all
+    maxima but the last have degree 1, the last maximum has degree
+    b_2i + 1 (one less for the final pair), the first letter of the other
+    block has degree b_{2i-1} + 1 (one less for the first pair), and the
+    remaining letters have degree 1.
 
     >>> degree_sequence(Permutation([2, 3, 4, 1]))
     (1, 1, 1, 3)
     """
-    dec = blocks(perm)
-    blks = dec.blocks
+    sizes = blocks(perm).sizes
     if perm.n == 1:
         return (0,)
-    k = len(blks) // 2
+    k = len(sizes) // 2
     deg = []
     for i in range(1, k + 1):
-        b_w1 = blks[2 * i - 2]
-        b_w0 = blks[2 * i - 1]
-        deg.extend([1] * (b_w1.size - 1))
-        deg.append(b_w0.size + 1 - (1 if i == k else 0))
-        deg.append(b_w1.size + 1 - (1 if i == 1 else 0))
-        deg.extend([1] * (b_w0.size - 1))
+        b_max, b_rest = sizes[2 * i - 2], sizes[2 * i - 1]
+        deg.extend([1] * (b_max - 1))
+        deg.append(b_rest + 1 - (1 if i == k else 0))
+        deg.append(b_max + 1 - (1 if i == 1 else 0))
+        deg.extend([1] * (b_rest - 1))
     return tuple(deg)
 
 

@@ -3,7 +3,9 @@
 ``CHECKS`` lists them in report order.  Each sweeps every object of each
 size n in a range, counting the objects it checked and the comparisons
 that failed: ``permtree verify`` runs them up to their caps through
-:func:`run`, the acceptance tests over larger ranges.  Package functions
+:func:`run`, the acceptance tests over larger ranges.  A routine that
+raises on an object fails that object's comparison, and the sweep goes
+on.  Package functions
 are looked up on their modules at call time (``cover.gamma_formula``, not
 a reference taken at import), so a wrapper installed on a module
 attribute is what a check calls.
@@ -23,23 +25,23 @@ from .errors import InvalidConfigError
 
 # smallest bound at which every check sees at least one object
 MIN_MAX_N = 4
+# the codec enumerations a per-object sweep walks
+_TREES, _CODES = "enumerate_trees", "enumerate_codes"
 
 
-def _each_tree(ok: Callable[[perm.Permutation], bool]):
-    """Per-size sweep applying ``ok`` to every tree permutation of size n."""
+def _holds(ok: Callable, obj) -> bool:
+    """``ok(obj)``; a routine that raises on ``obj`` fails the comparison."""
+    try:
+        return bool(ok(obj))
+    except Exception:
+        return False
+
+
+def _each(objects: str, ok: Callable) -> Callable[[int, int], tuple[int, int]]:
+    """Per-size sweep applying ``ok`` to every object ``codec.<objects>(n)`` yields."""
 
     def at(n: int, workers: int) -> tuple[int, int]:
-        oks = [ok(p) for p in codec.enumerate_trees(n)]
-        return len(oks), oks.count(False)
-
-    return at
-
-
-def _each_code(ok: Callable[[codec.TreeCode], bool]):
-    """Per-size sweep applying ``ok`` to every code of size n."""
-
-    def at(n: int, workers: int) -> tuple[int, int]:
-        oks = [ok(c) for c in codec.enumerate_codes(n)]
+        oks = [_holds(ok, x) for x in getattr(codec, objects)(n)]
         return len(oks), oks.count(False)
 
     return at
@@ -47,17 +49,19 @@ def _each_code(ok: Callable[[codec.TreeCode], bool]):
 
 def _census(n: int, workers: int) -> tuple[int, int]:
     """All of S_n classified; one failure when any tally misses its closed form."""
-    table = counting.census(n, workers=workers)
-    ok = (
-        table.total == math.factorial(n)
-        and table.trees == codec.count_trees(n)
-        and table.connected == counting.indecomposable_count(n)
-        and table.forest_total == counting.forest_total(n)
-        and all(
-            table.forests_by_m.get(m, 0) == counting.forest_count(n, m) for m in range(1, n + 1)
+
+    def ok(n: int) -> bool:
+        table = counting.census(n, workers=workers)
+        by_m = table.forests_by_m
+        return (
+            table.total == math.factorial(n)
+            and table.trees == codec.count_trees(n)
+            and table.connected == counting.indecomposable_count(n)
+            and table.forest_total == counting.forest_total(n)
+            and all(by_m.get(m, 0) == counting.forest_count(n, m) for m in range(1, n + 1))
         )
-    )
-    return table.total, int(not ok)
+
+    return math.factorial(n), int(not _holds(ok, n))
 
 
 def _adjacency_ok(p: perm.Permutation) -> bool:
@@ -95,10 +99,7 @@ def _triple_ok(p: perm.Permutation) -> bool:
 
 
 def _decomposition_ok(code: codec.TreeCode) -> bool:
-    try:
-        terms = cover.gamma_decomposition(code)  # raises when its terms miss the formula
-    except RuntimeError:
-        return False
+    terms = cover.gamma_decomposition(code)  # raises when its terms miss the formula
     return terms.total == cover.gamma_formula(codec.decode(code))
 
 
@@ -111,13 +112,15 @@ def _laws(n: int, workers: int) -> tuple[int, int]:
     """
     total = codec.count_trees(n)
     leaves, diameters, max_degrees = Counter(), Counter(), Counter()
-    failures = 0
-    for code in codec.enumerate_codes(n):
+
+    def tally(code: codec.TreeCode) -> bool:
         s = stats.tree_stats(codec.decode(code))
         leaves[s.leaves] += 1
         diameters[s.diameter] += 1
         max_degrees[s.max_degree] += 1
-        failures += not stats.coupled_tree_stats_equivalence(code)
+        return stats.coupled_tree_stats_equivalence(code)
+
+    failures = sum(not _holds(tally, code) for code in codec.enumerate_codes(n))
     for k in range(2, n):
         failures += Fraction(leaves[k], total) != stats.leaves_pmf(n, k)
         failures += Fraction(diameters[k], total) != stats.diameter_pmf(n, k)
@@ -128,7 +131,7 @@ def _laws(n: int, workers: int) -> tuple[int, int]:
         )
         # two codes per toss sequence: the first symbol is free
         failures += max_degrees != Counter({v: 2 * c for v, c in runs.items()})
-    return sum(leaves.values()), failures
+    return total, failures
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,12 @@ class Check:
 
 CENSUS = Check("census vs closed forms", 8, 1, _census)
 ROUNDTRIP = Check(
-    "encode/decode roundtrip", 14, 1, _each_code(lambda c: codec.encode(codec.decode(c)) == c)
+    "encode/decode roundtrip", 14, 1, _each(_CODES, lambda c: codec.encode(codec.decode(c)) == c)
 )
-ADJACENCY = Check("block adjacency = inversion adjacency", 11, 2, _each_tree(_adjacency_ok))
-CATERPILLAR = Check("caterpillar shape and endpoints", 11, 3, _each_tree(_caterpillar_ok))
-COVER = Check("cover number triple agreement", 11, 1, _each_tree(_triple_ok))
-DECOMPOSITION = Check("cover run decomposition identity", 11, 4, _each_code(_decomposition_ok))
+ADJACENCY = Check("block adjacency = inversion adjacency", 11, 2, _each(_TREES, _adjacency_ok))
+CATERPILLAR = Check("caterpillar shape and endpoints", 11, 3, _each(_TREES, _caterpillar_ok))
+COVER = Check("cover number triple agreement", 11, 1, _each(_TREES, _triple_ok))
+DECOMPOSITION = Check("cover run decomposition identity", 11, 4, _each(_CODES, _decomposition_ok))
 LAWS = Check("exact leaf law and degree coupling", 12, 3, _laws)
 
 CHECKS = (CENSUS, ROUNDTRIP, ADJACENCY, CATERPILLAR, COVER, DECOMPOSITION, LAWS)

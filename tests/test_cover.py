@@ -31,7 +31,7 @@ from permtree.perm import Permutation, build_graph
 from permtree.stats import CoinSequence, coin_stats
 from permtree.structure import adjacency_via_blocks, central_path
 
-from conftest import min_cover_brute
+from conftest import marking_brute, min_cover_brute, naive_edges
 
 
 def path_permutation(n):
@@ -59,6 +59,16 @@ def test_marking_base_cases():
     assert marking_algorithm(Permutation([1])).size == 0
     res = marking_algorithm(Permutation([2, 1]))
     assert res.chosen == {1} and res.size == 1 and res.s1 == frozenset()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_marking_matches_definition(n):
+    """Same chosen and first-round sets as the per-round component search."""
+    for p in enumerate_trees(n):
+        chosen, first = marking_brute(n, naive_edges(p.values))
+        for adj in (None, adjacency_via_blocks(p)):
+            res = marking_algorithm(p, adj)
+            assert (res.chosen, res.s1, res.size) == (chosen, first, len(chosen))
 
 
 def test_gamma_formula_examples():

@@ -1,0 +1,90 @@
+"""Property tests: the exact layer on random codes beyond the exhaustive sizes.
+
+Codes up to n = 10^4 are drawn at random; on each decoded tree the block
+shortcuts must equal the inversion-graph definition, the spine must end
+where the structure lemma says, encode must invert decode, and a swap of
+two letters must be rejected by encode exactly when the inversion graph
+stops being a tree.  Below the random range, every permutation of S_n for
+n <= 8 is offered to encode.
+"""
+from __future__ import annotations
+
+from itertools import permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permtree.codec import TreeCode, decode, encode
+from permtree.errors import NotATreeError
+from permtree.perm import Permutation, build_graph, is_tree_permutation
+from permtree.structure import adjacency_via_blocks, central_path, degree_sequence
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def codes(draw, max_n=10_000):
+    n = draw(st.one_of(st.integers(3, 40), st.integers(41, max_n), st.just(max_n)))
+    p_one = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random(n - 2) < p_one).astype(int).tolist()
+    fill = draw(st.sampled_from([None, 0, 1]))
+    if fill is not None:
+        bits = [fill] * (n - 2)  # a star (all 0) or a path-like broom (all 1)
+    return TreeCode(n, bits)
+
+
+@PROPERTY
+@given(codes())
+def test_encode_inverts_decode(code):
+    assert encode(decode(code)) == code
+
+
+@PROPERTY
+@given(codes())
+def test_block_shortcuts_equal_the_inversion_graph(code):
+    p = decode(code)
+    g = build_graph(p)
+    adj = adjacency_via_blocks(p)
+    assert adj[0] == []
+    assert all(adj[v] == list(g.neighbors(v)) for v in range(1, p.n + 1))
+    assert degree_sequence(p) == tuple(g.degree(v) for v in p.values)
+
+
+@PROPERTY
+@given(codes())
+def test_spine_endpoints(code):
+    p = decode(code)
+    spine = central_path(p).vertices
+    assert spine[0] in (1, p.values[0])
+    assert spine[-1] in (p.n, p.values[-1])
+
+
+@PROPERTY
+@given(codes(), st.data())
+def test_encode_rejects_a_swap_exactly_when_it_is_not_a_tree(code, data):
+    n = code.n
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.one_of(st.just(i + 1), st.integers(i + 1, n - 1)))
+    w = list(decode(code).values)
+    w[i], w[j] = w[j], w[i]
+    swapped = Permutation(w)
+    try:
+        encode(swapped)
+        rejected = False
+    except NotATreeError:
+        rejected = True
+    assert rejected == (not is_tree_permutation(swapped))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_encode_raises_exactly_on_non_trees(n, trees_up_to_8):
+    for values in permutations(range(1, n + 1)):
+        try:
+            encode(Permutation(values))
+            accepted = True
+        except NotATreeError:
+            accepted = False
+        assert accepted == (values in trees_up_to_8[n])

@@ -5,11 +5,10 @@ import pytest
 
 from permtree import verify
 from permtree.codec import count_trees, encode, enumerate_trees
-from permtree.errors import TooSmallError
+from permtree.errors import NotATreeError, TooSmallError
 from permtree.perm import Permutation, build_graph
 from permtree.structure import (
-    W0,
-    W1,
+    adjacency_via_blocks,
     bipartition,
     blocks,
     central_path,
@@ -45,28 +44,49 @@ def test_interior_flags_equal_code_bits():
 
 def test_blocks_examples():
     dec = blocks(Permutation([2, 1]))
-    assert dec.sizes == (1, 1)
-    assert [b.side for b in dec.blocks] == [W1, W0]
+    assert dec.starts == (1, 2, 3)
+    assert dec.sizes == (1, 1) and len(dec) == 2
     dec = blocks(RUNNING_EXAMPLE)
+    assert dec.starts == (1, 3, 5, 8, 12)
     assert dec.sizes == (2, 2, 3, 4)
-    assert [b.side for b in dec.blocks] == [W1, W0, W1, W0]
     assert blocks(Permutation([4, 1, 2, 3])).sizes == (1, 3)
+    assert blocks(Permutation([1])).starts == (1, 2)
 
 
 def test_blocks_structure_invariants():
+    """Blocks tile 1..n, alternate sides starting on the maxima, and increase inside."""
     for n in range(2, 11):
         for p in enumerate_trees(n):
             dec = blocks(p)
+            flags = bipartition(p).flags
+            starts = dec.starts
             assert len(dec) % 2 == 0
-            assert dec.blocks[0].start_pos == 1 and dec.blocks[-1].end_pos == n
-            for a, b in zip(dec.blocks, dec.blocks[1:]):
-                assert b.start_pos == a.end_pos + 1
-                assert a.side != b.side
-            for blk in dec.blocks:
-                letters = p.values[blk.start_pos - 1 : blk.end_pos]
-                assert list(letters) == sorted(letters)
-                assert blk.first_letter == letters[0]
-                assert blk.last_letter == letters[-1]
+            assert starts[0] == 1 and starts[-1] == n + 1
+            assert all(a < b for a, b in zip(starts, starts[1:]))
+            assert sum(dec.sizes) == n
+            for t in range(len(dec)):
+                block = range(starts[t], starts[t + 1])
+                # block t lies on the maxima side exactly when t is even
+                assert {flags[pos - 1] for pos in block} == {t % 2 == 0}
+                letters = [p.letter(pos) for pos in block]
+                assert letters == sorted(letters)
+
+
+def test_block_shortcuts_reject_non_trees():
+    for values in ([3, 2, 1], [1, 2], [2, 1, 4, 3], [3, 4, 1, 2]):
+        p = Permutation(values)
+        for shortcut in (blocks, degree_sequence, adjacency_via_blocks):
+            with pytest.raises(NotATreeError):
+                shortcut(p)
+        with pytest.raises(NotATreeError):
+            neighbors_via_blocks(p, 1)
+
+
+def test_neighbors_via_blocks_positions_out_of_range():
+    assert neighbors_via_blocks(Permutation([1]), 1) == set()
+    for p, pos in ((Permutation([1]), 2), (RUNNING_EXAMPLE, 0), (RUNNING_EXAMPLE, 12)):
+        with pytest.raises(IndexError):
+            neighbors_via_blocks(p, pos)
 
 
 def test_neighbors_via_blocks_examples():

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from permtree import codec, counting, cover, stats, structure, verify
+from permtree import cli, codec, counting, cover, stats, structure, verify
 from permtree.codec import TreeCode, count_trees
+from permtree.perm import Permutation
 from permtree.structure import CentralPath
 
 # ``permtree verify --max-n 14`` reports these names; its stdout digest pins them
@@ -86,3 +87,13 @@ def test_a_broken_routine_is_reported(monkeypatch, check, module, name, mutate):
     checked, failures = check.sweep(7)
     assert checked > 0
     assert failures > 0
+
+
+def test_a_routine_that_raises_fails_its_check_and_the_battery_goes_on(monkeypatch, capsys):
+    decode = codec.decode
+    monkeypatch.setattr(codec, "decode", lambda code: Permutation(decode(code).values[::-1]))
+    assert cli.main(["verify", "--max-n", "5", "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line.split()[0] for line in lines if line.split()[0] in ("PASS", "FAIL")]
+    assert len(verdicts) == len(verify.CHECKS)
+    assert verdicts[verify.CHECKS.index(verify.ROUNDTRIP)] == "FAIL"
