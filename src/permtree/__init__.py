@@ -14,8 +14,6 @@ from .codec import (
     encode,
     enumerate_codes,
     enumerate_trees,
-    insert_first_kind,
-    insert_second_kind,
     sample_code,
     sample_tree,
 )
@@ -28,7 +26,6 @@ from .errors import (
     TooSmallError,
 )
 from .perm import (
-    PermGraph,
     Permutation,
     build_graph,
     components,
@@ -39,10 +36,8 @@ from .perm import (
     pattern_flags,
 )
 from .structure import (
-    Bipartition,
     BlockDecomposition,
     CentralPath,
-    bipartition,
     blocks,
     central_path,
     degree_sequence,
@@ -52,19 +47,16 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
     "BlockDecomposition",
     "CapExceededError",
     "CentralPath",
     "EmptyHistogramError",
     "InvalidConfigError",
     "NotATreeError",
-    "PermGraph",
     "Permutation",
     "TooFewSamplesError",
     "TooSmallError",
     "TreeCode",
-    "bipartition",
     "blocks",
     "build_graph",
     "central_path",
@@ -75,8 +67,6 @@ __all__ = [
     "encode",
     "enumerate_codes",
     "enumerate_trees",
-    "insert_first_kind",
-    "insert_second_kind",
     "inversion_count",
     "inversions",
     "is_indecomposable",

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, NotATreeError
-from .perm import Permutation, is_tree_permutation
+from .perm import Permutation
 
 DEFAULT_ENUM_CAP = 30
 ENUM_CAP_ENV = "PERMTREE_ENUM_CAP"
@@ -97,43 +97,6 @@ class TreeCode:
 
     def __repr__(self) -> str:
         return f"TreeCode(n={self.n}, bits={list(self.bits)})"
-
-
-def insert_first_kind(perm: Permutation, check: bool = False) -> Permutation:
-    """Insert letter n+1 between the last two letters.
-
-    Result: w_1, ..., w_{n-1}, n+1, w_n.  The new letter is a leaf adjacent
-    to w_n and the deficit grows: m(w') = m(w) + 1.
-
-    >>> insert_first_kind(Permutation([2, 1])).values
-    (2, 3, 1)
-    """
-    if check and not is_tree_permutation(perm):
-        raise NotATreeError(f"not a tree permutation: {perm}")
-    if perm.n < 2:
-        raise ValueError("insertion needs length >= 2")
-    w = perm.values
-    return Permutation(w[:-1] + (perm.n + 1, w[-1]))
-
-
-def insert_second_kind(perm: Permutation, check: bool = False) -> Permutation:
-    """Replace letter n by n+1 in place and append n.
-
-    Result has m = 1 and {n, n+1} as an edge; vertex n hands its old
-    neighbors to n+1.
-
-    >>> insert_second_kind(Permutation([2, 1])).values
-    (3, 1, 2)
-    """
-    if check and not is_tree_permutation(perm):
-        raise NotATreeError(f"not a tree permutation: {perm}")
-    if perm.n < 2:
-        raise ValueError("insertion needs length >= 2")
-    n = perm.n
-    w = list(perm.values)
-    w[w.index(n)] = n + 1
-    w.append(n)
-    return Permutation(w)
 
 
 def _decode_values(n: int, bits: Sequence[int]) -> list[int]:

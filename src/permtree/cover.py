@@ -42,14 +42,6 @@ class CoverResult:
     s1: frozenset[int]
 
 
-def _adjacency(perm: Permutation, adjacency: list[list[int]] | None) -> list[list[int]]:
-    """Adjacency indexed by letter; defaults to the inversion-graph definition."""
-    if adjacency is not None:
-        return adjacency
-    g = build_graph(perm)
-    return [[]] + [list(g.neighbors(v)) for v in range(1, perm.n + 1)]
-
-
 def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = None) -> CoverResult:
     """Recursive leaf-neighbor marking; returns the marked set.
 
@@ -72,7 +64,7 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     n = perm.n
     if n == 1:
         return CoverResult(frozenset(), 0, frozenset())
-    adj = _adjacency(perm, adjacency)
+    adj = build_graph(perm) if adjacency is None else adjacency
     deg = [len(a) for a in adj]
     marked = [False] * (n + 1)
 
@@ -122,7 +114,7 @@ def gamma_formula(perm: Permutation, adjacency: list[list[int]] | None = None) -
         return 0
     if n == 2:
         return 1
-    adj = _adjacency(perm, adjacency)
+    adj = build_graph(perm) if adjacency is None else adjacency
     spine = ordered_spine(adj, n, perm.values[0])
     last = len(spine) - 1
     special = [
@@ -150,7 +142,7 @@ def min_cover_oracle(perm: Permutation, adjacency: list[list[int]] | None = None
     n = perm.n
     if n == 1:
         return 0
-    adj = _adjacency(perm, adjacency)
+    adj = build_graph(perm) if adjacency is None else adjacency
     parent = [0] * (n + 1)
     order = [1]
     seen = [False] * (n + 1)

@@ -43,6 +43,7 @@ CHUNK = 1024  # fixed slicing policy; results do not depend on it
 
 _SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 56
+_INT64_LIMIT = 1 << 63
 _SAMPLE_TAG = 8  # the streams of ``permtree sample``
 
 MAXDEG_K_RANGE = tuple(range(-2, 7))
@@ -121,6 +122,11 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{self.statistic} needs at least 2 samples")
         if "kmax" in entry.params and self.kmax < 1:
             raise InvalidConfigError(f"{self.statistic} needs kmax >= 1")
+        # each squared count or cross product is at most n^2, summed in int64
+        if entry.squares and self.samples * self.n**2 >= _INT64_LIMIT:
+            raise InvalidConfigError(
+                f"{self.statistic} needs samples * n**2 < 2**63 for its int64 sums of squares"
+            )
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -697,6 +703,7 @@ class Statistic:
     params: tuple[str, ...]  # configuration fields it reads, kept in its report
     kernel: Callable[[ExperimentConfig, int, int], dict]  # (config, start, count)
     report: Callable[[ExperimentConfig, list[dict]], tuple[dict, dict, list]]
+    squares: bool = False  # sums squared per-sample counts in int64
 
 
 # canonical name -> entry, in domain order (also the order of the CLI choices)
@@ -710,9 +717,9 @@ REGISTRY: dict[str, Statistic] = {
         partial(_scalar_law_report, normality=False),
     ),
     "maxdeg": Statistic(3, "maxdeg", 4, (), _maxdeg_chunk, _maxdeg_report),
-    "dcensus": Statistic(4, "dcensus", 4, ("kmax",), _dcensus_chunk, _dcensus_report),
+    "dcensus": Statistic(4, "dcensus", 4, ("kmax",), _dcensus_chunk, _dcensus_report, squares=True),
     "gamma": Statistic(5, "gamma", 4, (), _gamma_chunk, _gamma_report),
-    "dcov": Statistic(6, "dcov", 4, ("m",), _dcov_chunk, _dcov_report),
+    "dcov": Statistic(6, "dcov", 4, ("m",), _dcov_chunk, _dcov_report, squares=True),
     "runs_geometric": Statistic(7, "runs", 1, ("q",), _runs_geometric_chunk, _runs_report),
 }
 

@@ -79,43 +79,6 @@ class Permutation:
         return f"Permutation({list(self.values)})"
 
 
-class PermGraph:
-    """Inversion graph: vertices are the letters 1..n, edges the inversions.
-
-    The adjacency map is keyed by letter (not by position) and neighbor
-    lists are kept sorted.
-    """
-
-    __slots__ = ("n", "adjacency")
-
-    def __init__(self, n: int, adjacency: dict[int, tuple[int, ...]]):
-        self.n = n
-        self.adjacency = adjacency
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Sorted list of edges as (min, max) pairs."""
-        out = []
-        for v, nbrs in self.adjacency.items():
-            for u in nbrs:
-                if v < u:
-                    out.append((v, u))
-        out.sort()
-        return out
-
-    def __repr__(self) -> str:
-        return f"PermGraph(n={self.n}, edges={self.edge_count})"
-
-
 def inversions(perm: Permutation) -> list[tuple[int, int]]:
     """All inversion pairs (w_a, w_b) with a < b and w_a > w_b, in scan order.
 
@@ -171,18 +134,18 @@ def _merge_count(arr: np.ndarray) -> int:
     return count
 
 
-def build_graph(perm: Permutation) -> PermGraph:
-    """Inversion graph of ``perm``.
+def build_graph(perm: Permutation) -> list[list[int]]:
+    """Inversion graph of ``perm`` as ascending neighbour lists by letter.
 
-    The sweep keeps the letters seen so far in sorted order; at each new
+    Entry v lists the neighbours of letter v; entry 0 is unused.  The
+    sweep keeps the letters seen so far in sorted order; at each new
     letter the tail of larger seen letters gives exactly its inversion
     partners, so the cost is O(n * insert + edge count).
 
-    >>> build_graph(Permutation([2, 4, 1, 3])).edges()
-    [(1, 2), (1, 4), (3, 4)]
+    >>> build_graph(Permutation([2, 4, 1, 3]))
+    [[], [2, 4], [1], [4], [1, 3]]
     """
-    n = perm.n
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    adj: list[list[int]] = [[] for _ in range(perm.n + 1)]
     seen: list[int] = []
     for v in perm.values:
         i = bisect_right(seen, v)
@@ -190,7 +153,9 @@ def build_graph(perm: Permutation) -> PermGraph:
             adj[u].append(v)
             adj[v].append(u)
         insort(seen, v)
-    return PermGraph(n, {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
+    for nbrs in adj:
+        nbrs.sort()
+    return adj
 
 
 def is_indecomposable(perm: Permutation) -> bool:

@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -81,15 +81,16 @@ class TreeStats:
     degree_census: DegreeCensus
 
 
-def _bfs_farthest(adj: Mapping[int, Iterable[int]], src: int) -> tuple[int, int]:
-    dist = {src: 0}
+def _bfs_farthest(adj: list[list[int]], src: int) -> tuple[int, int]:
+    dist = [-1] * len(adj)
+    dist[src] = 0
     frontier = [src]
     far, fdist = src, 0
     while frontier:
         nxt = []
         for v in frontier:
             for u in adj[v]:
-                if u not in dist:
+                if dist[u] < 0:
                     dist[u] = dist[v] + 1
                     if dist[u] > fdist:
                         far, fdist = u, dist[u]
@@ -110,13 +111,13 @@ def tree_stats(perm: Permutation) -> TreeStats:
     n = perm.n
     if n < 2:
         raise ValueError("tree_stats needs n >= 2")
-    g = build_graph(perm)
-    counts = Counter(g.degree(v) for v in range(1, n + 1))
+    adj = build_graph(perm)
+    counts = Counter(len(nbrs) for nbrs in adj[1:])
     census = DegreeCensus(n, dict(counts))
     leaves = census.get(1)
     diameter = n - leaves + 1
-    far, _ = _bfs_farthest(g.adjacency, 1)
-    _, bfs_diameter = _bfs_farthest(g.adjacency, far)
+    far, _ = _bfs_farthest(adj, 1)
+    _, bfs_diameter = _bfs_farthest(adj, far)
     if bfs_diameter != diameter:
         raise RuntimeError(
             f"diameter identity violated on {perm}: formula {diameter}, walk {bfs_diameter}"
@@ -241,9 +242,7 @@ def coupled_tree_stats_equivalence(code: TreeCode) -> bool:
     """
     if code.n < 3:
         raise ValueError("coupling needs n >= 3")
-    p = decode(code)
-    g = build_graph(p)
-    census = Counter(g.degree(v) for v in range(1, code.n + 1))
+    census = Counter(len(nbrs) for nbrs in build_graph(decode(code))[1:])
     sizes = run_lengths(code.bits)
     if census.get(1, 0) != code.n - len(sizes):
         return False

@@ -11,7 +11,6 @@ tested against.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
@@ -19,22 +18,6 @@ from operator import ne
 from .codec import code_flags
 from .errors import TooSmallError
 from .perm import Permutation
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Per-position flags: True where the letter is a left-to-right maximum."""
-
-    flags: tuple[bool, ...]
-
-    def interior_bits(self) -> tuple[int, ...]:
-        """Flags at positions 2..n-1 as 0/1 bits.
-
-        For a tree permutation this equals the insertion code: letter k was
-        inserted with the first-kind move exactly when position k-1 holds a
-        left-to-right maximum.
-        """
-        return tuple(int(f) for f in self.flags[1:-1])
 
 
 @dataclass(frozen=True)
@@ -65,20 +48,6 @@ class CentralPath:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-def bipartition(perm: Permutation) -> Bipartition:
-    """Flag the left-to-right maxima.
-
-    >>> bipartition(Permutation([2, 4, 1, 3])).flags
-    (True, True, False, False)
-    """
-    flags = []
-    running_max = 0
-    for v in perm.values:
-        flags.append(v > running_max)
-        running_max = max(running_max, v)
-    return Bipartition(tuple(flags))
 
 
 def blocks(perm: Permutation) -> BlockDecomposition:
@@ -118,26 +87,8 @@ def neighbors_via_blocks(perm: Permutation, pos: int) -> set[int]:
     >>> sorted(neighbors_via_blocks(w, 8))
     [5, 6, 7, 11]
     """
-    perm.letter(pos)
-    starts = blocks(perm).starts
-    if perm.n == 1:
-        return set()
-    w = perm.values
-    t = bisect_right(starts, pos) - 1
-    first, end = starts[t], starts[t + 1]
-    if t % 2 == 0:
-        if pos != end - 1:
-            return {w[end - 1]}
-        nbrs = set(w[end - 1 : starts[t + 2] - 1])
-        if t + 3 < len(starts) - 1:
-            nbrs.add(w[starts[t + 3] - 1])
-        return nbrs
-    if pos != first:
-        return {w[first - 2]}
-    nbrs = set(w[starts[t - 1] - 1 : first - 1])
-    if t > 1:
-        nbrs.add(w[starts[t - 2] - 2])
-    return nbrs
+    v = perm.letter(pos)
+    return set(adjacency_via_blocks(perm)[v])
 
 
 def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
@@ -207,24 +158,24 @@ def ordered_spine(adjacency: list[list[int]], n: int, first_letter: int) -> tupl
     the endpoint lying in {1, first_letter}; raises if the nonleaves do
     not form a path (i.e. the graph is not a caterpillar).
     """
-    spine = [v for v in range(1, n + 1) if len(adjacency[v]) >= 2]
-    if len(spine) == 1:
-        return (spine[0],)
-    spine_set = set(spine)
-    spine_nbrs = {v: [u for u in adjacency[v] if u in spine_set] for v in spine}
-    ends = [v for v in spine if len(spine_nbrs[v]) <= 1]
-    start = next((v for v in ends if v in (1, first_letter)), None)
+    inner = [False] + [len(adjacency[v]) >= 2 for v in range(1, n + 1)]
+    size = inner.count(True)
+    if size == 1:
+        return (inner.index(True),)
+    ends = (v for v in (1, first_letter) if inner[v] and sum(inner[u] for u in adjacency[v]) <= 1)
+    start = next(ends, None)
     if start is None:
         raise RuntimeError("no spine endpoint in {1, w_1}; not a tree permutation?")
     path = [start]
-    prev = None
+    prev = 0
     while True:
-        nxt = [u for u in spine_nbrs[path[-1]] if u != prev]
-        if not nxt:
+        nxt = [u for u in adjacency[path[-1]] if inner[u] and u != prev]
+        if len(nxt) != 1:
             break
         prev = path[-1]
         path.append(nxt[0])
-    if len(path) != len(spine):
+    # the walk stops early at a branch or when the nonleaves are disconnected
+    if len(path) != size:
         raise RuntimeError("nonleaf vertices do not form a path; not a tree permutation?")
     return tuple(path)
 

@@ -7,11 +7,13 @@ must agree with these on every small instance.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import pytest
 
-from permtree.perm import Permutation
+from permtree.errors import NotATreeError
+from permtree.perm import Permutation, is_tree_permutation
 
 
 def naive_inversions(values):
@@ -26,6 +28,11 @@ def naive_inversions(values):
 
 def naive_edges(values):
     return {tuple(sorted(p)) for p in naive_inversions(values)}
+
+
+def edge_list(adj):
+    """Sorted (min, max) edge pairs of a letter-indexed adjacency."""
+    return sorted((v, u) for v, nbrs in enumerate(adj) for u in nbrs if v < u)
 
 
 def graph_components(n, edges):
@@ -159,3 +166,60 @@ def trees_up_to_8():
 
 def perm(values) -> Permutation:
     return Permutation(values)
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """Per-position flags: True where the letter is a left-to-right maximum."""
+
+    flags: tuple[bool, ...]
+
+    def interior_bits(self) -> tuple[int, ...]:
+        """Flags at positions 2..n-1 as 0/1 bits.
+
+        For a tree permutation this equals the insertion code: letter k was
+        inserted with the first-kind move exactly when position k-1 holds a
+        left-to-right maximum.
+        """
+        return tuple(int(f) for f in self.flags[1:-1])
+
+
+def bipartition(p: Permutation) -> Bipartition:
+    """Flag the left-to-right maxima by a running maximum."""
+    flags = []
+    running_max = 0
+    for v in p.values:
+        flags.append(v > running_max)
+        running_max = max(running_max, v)
+    return Bipartition(tuple(flags))
+
+
+def insert_first_kind(p: Permutation, check: bool = False) -> Permutation:
+    """First-kind insertion move: w_1, ..., w_{n-1}, n+1, w_n.
+
+    The new letter is a leaf adjacent to w_n and the deficit grows:
+    m(w') = m(w) + 1.
+    """
+    if check and not is_tree_permutation(p):
+        raise NotATreeError(f"not a tree permutation: {p}")
+    if p.n < 2:
+        raise ValueError("insertion needs length >= 2")
+    w = p.values
+    return Permutation(w[:-1] + (p.n + 1, w[-1]))
+
+
+def insert_second_kind(p: Permutation, check: bool = False) -> Permutation:
+    """Second-kind insertion move: replace letter n by n+1 in place, append n.
+
+    The result has m = 1 and {n, n+1} as an edge; vertex n hands its old
+    neighbors to n+1.
+    """
+    if check and not is_tree_permutation(p):
+        raise NotATreeError(f"not a tree permutation: {p}")
+    if p.n < 2:
+        raise ValueError("insertion needs length >= 2")
+    n = p.n
+    w = list(p.values)
+    w[w.index(n)] = n + 1
+    w.append(n)
+    return Permutation(w)

@@ -11,14 +11,12 @@ from permtree.codec import (
     decode,
     encode,
     enumerate_trees,
-    insert_first_kind,
-    insert_second_kind,
     sample_tree,
 )
 from permtree.errors import CapExceededError, NotATreeError
 from permtree.perm import Permutation, build_graph, is_tree_permutation
 
-from conftest import naive_is_tree
+from conftest import insert_first_kind, insert_second_kind, naive_is_tree
 
 
 def test_treecode_validation_and_packing():
@@ -66,10 +64,10 @@ def test_insertions_preserve_treeness_and_deficit():
             assert q2.m == 1
             # first kind: new letter is a leaf adjacent to the old last letter
             g1 = build_graph(q1)
-            assert g1.neighbors(n + 1) == (p.values[-1],)
+            assert g1[n + 1] == [p.values[-1]]
             # second kind: {n, n+1} is an edge
             g2 = build_graph(q2)
-            assert n in g2.neighbors(n + 1)
+            assert n in g2[n + 1]
 
 
 def test_insert_check_rejects_non_tree():
@@ -128,8 +126,8 @@ def test_exactly_one_of_last_letter_and_n_is_leaf():
     for n in range(3, 11):
         for p in enumerate_trees(n):
             g = build_graph(p)
-            leaf_last = g.degree(p.values[-1]) == 1
-            leaf_n = g.degree(n) == 1
+            leaf_last = len(g[p.values[-1]]) == 1
+            leaf_n = len(g[n]) == 1
             assert leaf_last != leaf_n
 
 

@@ -3,11 +3,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from permtree.cli import build_parser
+import permtree
+from permtree.cli import build_parser, main
 from permtree.errors import (
     EmptyHistogramError,
     InvalidConfigError,
@@ -62,6 +67,26 @@ def test_registry_entry_validation(name):
     config = ExperimentConfig(n=entry.min_n, **common)
     assert set(config.to_dict()) == {"n", "samples", "seed", "statistic", "tolerances", *entry.params}
     assert run_experiment(config).config == config.to_dict()
+
+
+@pytest.mark.parametrize("name", [name for name, e in REGISTRY.items() if e.squares])
+def test_int64_sums_of_squares_bounded(name):
+    # samples * n**2 bounds every int64 sum of squared counts: 2**23 * (2**20)**2 = 2**63
+    n = 1 << 20
+    assert ExperimentConfig(n=n, samples=(1 << 23) - 1, seed=1, statistic=name).n == n
+    with pytest.raises(InvalidConfigError, match=r"2\*\*63"):
+        ExperimentConfig(n=n, samples=1 << 23, seed=1, statistic=name)
+    # the bound holds between the last accepted and the first rejected size too
+    edge = math.isqrt(((1 << 63) - 1) // 3)
+    ExperimentConfig(n=edge, samples=3, seed=1, statistic=name)
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(n=edge + 1, samples=3, seed=1, statistic=name)
+
+
+def test_int64_bound_is_a_cli_usage_error(capsys):
+    argv = ["stats", "--stat", "dcov", "--n", str(1 << 20), "--samples", str(1 << 23), "--seed", "1"]
+    assert main(argv) == 2
+    assert "2**63" in capsys.readouterr().err
 
 
 # Philox domain tags key every substream: renumbering one changes every
@@ -194,6 +219,27 @@ def test_report_deterministic_and_worker_independent():
     # the worker count must not affect a single output byte
     r3 = run_experiment(ExperimentConfig(**base, workers=2))
     assert r1.to_json() == r3.to_json()
+
+
+SPAWN_PROBE = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from permtree.counting import census
+from permtree.montecarlo import CHUNK, ExperimentConfig, run_experiment
+base = dict(n=64, samples=2 * CHUNK + 100, seed=99, statistic="gamma")
+serial = run_experiment(ExperimentConfig(**base)).to_json()
+pooled = run_experiment(ExperimentConfig(**base, workers=2)).to_json()
+print(pooled == serial, census(6, workers=2) == census(6))
+"""
+
+
+def test_workers_independent_under_spawn():
+    # workers started by spawn import the package afresh instead of inheriting it
+    env = dict(os.environ, PYTHONPATH=str(Path(permtree.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", SPAWN_PROBE], env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["True", "True"]
 
 
 def test_gamma_moderate_run():

@@ -16,6 +16,7 @@ from permtree.perm import (
 
 from conftest import (
     all_perms,
+    edge_list,
     graph_is_acyclic,
     graph_is_connected,
     naive_edges,
@@ -54,14 +55,15 @@ def test_inversions_examples():
     assert inversions(Permutation([3, 1, 2])) == [(3, 1), (3, 2)]
     # Inversion set whose graph has N(5) = {1,3,4} and N(4) = {5,6,7,11}.
     g = build_graph(Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10]))
-    assert g.neighbors(5) == (1, 3, 4)
-    assert g.neighbors(4) == (5, 6, 7, 11)
+    assert g[5] == [1, 3, 4]
+    assert g[4] == [5, 6, 7, 11]
 
 
 def test_build_graph_examples():
-    assert build_graph(Permutation([2, 1])).edges() == [(1, 2)]
-    assert build_graph(Permutation([2, 3, 4, 1])).edges() == [(1, 2), (1, 3), (1, 4)]
-    assert build_graph(Permutation([2, 4, 1, 3])).edges() == [(1, 2), (1, 4), (3, 4)]
+    assert build_graph(Permutation([1])) == [[], []]
+    assert build_graph(Permutation([2, 1])) == [[], [2], [1]]
+    assert edge_list(build_graph(Permutation([2, 3, 4, 1]))) == [(1, 2), (1, 3), (1, 4)]
+    assert edge_list(build_graph(Permutation([2, 4, 1, 3]))) == [(1, 2), (1, 4), (3, 4)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -70,14 +72,16 @@ def test_graph_matches_naive_inversions(n):
         p = Permutation(vals)
         assert set(map(tuple, inversions(p))) == set(map(tuple, naive_inversions(vals)))
         g = build_graph(p)
-        assert set(g.edges()) == naive_edges(vals)
-        assert g.edge_count == len(naive_inversions(vals))
-        assert inversion_count(p) == g.edge_count
-        # symmetry and sortedness of the adjacency map
-        for v, nbrs in g.adjacency.items():
-            assert list(nbrs) == sorted(nbrs)
+        edges = edge_list(g)
+        assert set(edges) == naive_edges(vals)
+        assert len(edges) == len(naive_inversions(vals))
+        assert inversion_count(p) == len(edges)
+        # one list per letter, entry 0 unused; symmetric, ascending, no duplicates
+        assert len(g) == n + 1 and g[0] == []
+        for v, nbrs in enumerate(g):
+            assert nbrs == sorted(set(nbrs))
             for u in nbrs:
-                assert v in g.adjacency[u]
+                assert v in g[u]
 
 
 def test_inversion_count_random_vs_naive():

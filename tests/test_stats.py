@@ -38,7 +38,7 @@ from permtree.stats import (
     y_star_moments,
 )
 
-from conftest import tree_diameter_bfs
+from conftest import edge_list, tree_diameter_bfs
 
 
 def all_toss_sequences(length):
@@ -66,7 +66,7 @@ def test_diameter_identity_and_bfs(n):
     for p in enumerate_trees(n):
         s = tree_stats(p)
         assert s.diameter == n - s.leaves + 1
-        assert s.diameter == tree_diameter_bfs(n, build_graph(p).edges())
+        assert s.diameter == tree_diameter_bfs(n, edge_list(build_graph(p)))
 
 
 def test_coin_sequence_coupling_example():
@@ -175,7 +175,7 @@ def test_last_letter_leaf_probability_half():
         hits = 0
         for p in enumerate_trees(n):
             g = build_graph(p)
-            hits += g.degree(p.values[-1]) == 1
+            hits += len(g[p.values[-1]]) == 1
         assert hits * 2 == 1 << (n - 2)
 
 

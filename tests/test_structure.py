@@ -9,12 +9,14 @@ from permtree.errors import NotATreeError, TooSmallError
 from permtree.perm import Permutation, build_graph
 from permtree.structure import (
     adjacency_via_blocks,
-    bipartition,
     blocks,
     central_path,
     degree_sequence,
     neighbors_via_blocks,
+    ordered_spine,
 )
+
+from conftest import bipartition
 
 RUNNING_EXAMPLE = Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10])
 
@@ -105,7 +107,7 @@ def test_degree_sequence_examples():
     assert degree_sequence(Permutation([2, 3, 4, 1])) == (1, 1, 1, 3)
     p = RUNNING_EXAMPLE
     g = build_graph(p)
-    assert degree_sequence(p) == tuple(g.degree(v) for v in p.values)
+    assert degree_sequence(p) == tuple(len(g[v]) for v in p.values)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -113,7 +115,7 @@ def test_degree_sequence_matches_graph(n):
     for p in enumerate_trees(n):
         g = build_graph(p)
         seq = degree_sequence(p)
-        assert seq == tuple(g.degree(v) for v in p.values)
+        assert seq == tuple(len(g[v]) for v in p.values)
         assert sum(seq) == 2 * (n - 1)
 
 
@@ -134,6 +136,49 @@ def test_central_path_examples():
     assert central_path(Permutation([2, 3, 4, 1])).vertices == (1,)
     assert central_path(Permutation([2, 3, 1])).vertices == (1,)
     assert central_path(Permutation([2, 4, 1, 3])).vertices in ((1, 4), (4, 1))
+
+
+def adjacency_of(n, edges):
+    """Letter-indexed ascending neighbour lists of an edge list on 1..n."""
+    adj = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nbrs) for nbrs in adj]
+
+
+def test_ordered_spine_walks_from_the_low_end():
+    path = adjacency_of(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    assert ordered_spine(path, 6, 2) == (2, 3, 4, 5)
+    assert ordered_spine(path, 6, 5) == (5, 4, 3, 2)
+    # spine 1-4-3 with leaves 2 and 5: the walk starts at letter 1
+    caterpillar = adjacency_of(5, [(1, 2), (1, 4), (4, 3), (3, 5)])
+    assert ordered_spine(caterpillar, 5, 3) == (1, 4, 3)
+
+
+def test_ordered_spine_star_returns_its_hub():
+    star = adjacency_of(5, [(3, 1), (3, 2), (3, 4), (3, 5)])
+    assert ordered_spine(star, 5, 2) == (3,)
+
+
+def test_ordered_spine_rejects_a_spider():
+    # hub 4 with legs 4-1-7, 4-2-6, 4-3-5: the nonleaves 1, 2, 3, 4 form a star
+    spider = adjacency_of(7, [(4, 1), (1, 7), (4, 2), (2, 6), (4, 3), (3, 5)])
+    for first_letter in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="do not form a path"):
+            ordered_spine(spider, 7, first_letter)
+    # two disjoint paths: the walk from 2 ends after 2-3, short of 6-7
+    forest = adjacency_of(8, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])
+    with pytest.raises(RuntimeError, match="do not form a path"):
+        ordered_spine(forest, 8, 2)
+
+
+def test_ordered_spine_rejects_ends_outside_one_and_first_letter():
+    path = adjacency_of(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    with pytest.raises(RuntimeError, match="no spine endpoint"):
+        ordered_spine(path, 6, 6)
+    with pytest.raises(RuntimeError, match="no spine endpoint"):
+        ordered_spine(adjacency_of(2, [(1, 2)]), 2, 2)
 
 
 def test_central_path_rejects_small():
