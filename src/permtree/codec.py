@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +30,9 @@ from .perm import Permutation
 
 DEFAULT_ENUM_CAP = 30
 ENUM_CAP_ENV = "PERMTREE_ENUM_CAP"
+# bit values <-> ASCII binary digits, for packing through int(..., 2)
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class TreeCode:
@@ -51,10 +53,10 @@ class TreeCode:
         n = int(n)
         if n < 1:
             raise ValueError("code length parameter n must be >= 1")
-        bts = tuple(int(b) for b in bits)
+        bts = tuple(map(int, bits))
         if len(bts) != max(n - 2, 0):
             raise ValueError(f"expected {max(n - 2, 0)} bits for n={n}, got {len(bts)}")
-        if any(b not in (0, 1) for b in bts):
+        if not {0, 1}.issuperset(bts):
             raise ValueError("code bits must be 0 or 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bts)
@@ -65,17 +67,15 @@ class TreeCode:
     @property
     def packed(self) -> int:
         """Little-endian packed integer: bit j has weight 2**j."""
-        total = 0
-        for j, b in enumerate(self.bits):
-            total |= b << j
-        return total
+        return int(bytes(self.bits[::-1]).translate(_TO_DIGITS) or b"0", 2)
 
     @classmethod
     def from_packed(cls, n: int, value: int) -> "TreeCode":
         width = max(n - 2, 0)
         if value < 0 or value >> width:
             raise ValueError(f"packed value {value} out of range for n={n}")
-        return cls(n, tuple((value >> j) & 1 for j in range(width)))
+        digits = format(value, f"0{width}b")[::-1][:width]
+        return cls(n, digits.encode().translate(_FROM_DIGITS))
 
     def to_json(self) -> str:
         """Serialise as ``{"n": ..., "code": "0x..."}`` (lowercase hex)."""
@@ -100,20 +100,30 @@ class TreeCode:
 
 
 def _decode_values(n: int, bits: Sequence[int]) -> list[int]:
-    """Raw decode loop; assumes bits has length max(n-2, 0)."""
+    """Raw decode loop; assumes bits has length max(n-2, 0).
+
+    Both moves leave the last letter behind the rest, so it is held apart
+    from the body: a first-kind move appends the new letter to the body, a
+    second-kind move overwrites the body slot of the largest letter and
+    appends the old last letter.
+    """
     if n == 1:
         return [1]
-    w = [2, 1]
+    body = [2]
+    last = 1
     max_slot = 0
-    for j, b in enumerate(bits):
-        cur = j + 2          # current length; new letter is cur + 1
+    new = 2
+    for b in bits:
+        new += 1
         if b:
-            w.insert(cur - 1, cur + 1)
-            max_slot = cur - 1
+            max_slot = len(body)
+            body.append(new)
         else:
-            w[max_slot] = cur + 1
-            w.append(cur)
-    return w
+            body[max_slot] = new
+            body.append(last)
+            last = new - 1
+    body.append(last)
+    return body
 
 
 def decode(code: TreeCode) -> Permutation:
@@ -134,15 +144,23 @@ def code_flags(perm: Permutation) -> list[int]:
 
     Letter k+1 was inserted by the first-kind move exactly when position k
     holds a left-to-right maximum, so the code is the flags at positions
-    2..n-1.  Decoding is a bijection onto the tree permutations, so the
-    flags decode back to ``perm`` exactly when ``perm`` is a tree;
-    otherwise raises :class:`NotATreeError`.
+    2..n-1, read in one pass that carries the running maximum.  Decoding is
+    a bijection onto the tree permutations, so the flags decode back to
+    ``perm`` exactly when ``perm`` is a tree; otherwise raises
+    :class:`NotATreeError`.
 
     >>> code_flags(Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10]))
     [1, 0, 0, 1, 1, 1, 0, 0, 0]
     """
     w = perm.values
-    flags = [int(v == top) for v, top in zip(w[1:-1], islice(accumulate(w, max), 1, None))]
+    flags = []
+    top = w[0]
+    for v in w[1:-1]:
+        if v > top:
+            top = v
+            flags.append(1)
+        else:
+            flags.append(0)
     if _decode_values(perm.n, flags) != list(w):
         raise NotATreeError(f"inversion graph of {perm} is not a tree")
     return flags

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +55,10 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     A leaf's component has >= 3 vertices exactly when its neighbor is not
     a leaf, and after the first round the only leaves whose neighbor can
     be marked are those whose degree just fell to 1, so each round reads a
-    leaf list and the whole run is O(n).
+    leaf list and the whole run is O(n).  Edges vanish only at marked
+    vertices, so a leaf keeps exactly one unmarked neighbor: each vertex
+    carries the sum of its unmarked neighbors, lowered as they are marked,
+    and on a leaf that sum is its partner.
 
     >>> marking_algorithm(Permutation([2, 3, 4, 1])).chosen
     frozenset({1})
@@ -65,18 +69,14 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     if n == 1:
         return CoverResult(frozenset(), 0, frozenset())
     adj = build_graph(perm) if adjacency is None else adjacency
-    deg = [len(a) for a in adj]
+    deg = list(map(len, adj))
+    partner = list(map(sum, adj))
     marked = [False] * (n + 1)
-
-    def partner(leaf: int) -> int:
-        # edges vanish only at marked vertices, so a leaf keeps one unmarked neighbor
-        return next(u for u in adj[leaf] if not marked[u])
-
     chosen: list[int] = []
     first_round = None
     leaves = [v for v in range(1, n + 1) if deg[v] == 1]
     while True:
-        newly = {v for v in (partner(u) for u in leaves if deg[u] == 1) if deg[v] >= 2}
+        newly = {partner[u] for u in leaves if deg[u] == 1 and deg[partner[u]] >= 2}
         if first_round is None:
             first_round = frozenset(newly)
         if not newly:
@@ -90,10 +90,11 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
             for u in adj[v]:
                 if not marked[u]:
                     deg[u] -= 1
+                    partner[u] -= v
                     if deg[u] == 1:
                         leaves.append(u)
     # surviving components are single edges; take the smaller endpoint
-    chosen += [v for v in range(1, n + 1) if deg[v] == 1 and v < partner(v)]
+    chosen += [v for v in range(1, n + 1) if deg[v] == 1 and v < partner[v]]
     return CoverResult(frozenset(chosen), len(chosen), first_round)
 
 
@@ -158,18 +159,15 @@ def min_cover_oracle(perm: Permutation, adjacency: list[list[int]] | None = None
                 order.append(u)
     if len(order) != n:
         raise NotATreeError(f"graph of {perm} is not connected")
-    take = [0] * (n + 1)
+    # children come after their parent in BFS order, so each vertex is final
+    # when reached backwards and pushes its values into its parent
+    take = [1] * (n + 1)
     skip = [0] * (n + 1)
     for v in reversed(order):
-        t, s = 1, 0
-        for u in adj[v]:
-            if u == parent[v]:
-                continue
-            tu, su = take[u], skip[u]
-            t += tu if tu < su else su
-            s += tu
-        take[v] = t
-        skip[v] = s
+        t, s = take[v], skip[v]
+        p = parent[v]
+        take[p] += t if t < s else s
+        skip[p] += t
     return min(take[1], skip[1])
 
 
@@ -277,7 +275,7 @@ def gamma_code(code: TreeCode) -> int:
     if code.n < 4:
         return 1
     bits = code.bits
-    return gamma_from_tosses([bits[i] != bits[i + 1] for i in range(len(bits) - 1)])
+    return gamma_from_tosses(list(map(ne, bits, bits[1:])))
 
 
 def gamma_theory(n: int) -> Moments:

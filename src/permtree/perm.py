@@ -33,7 +33,7 @@ class Permutation:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(int, values))
         n = len(vals)
         if n < 1:
             raise ValueError("permutation must have length >= 1")

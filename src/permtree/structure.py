@@ -94,11 +94,13 @@ def neighbors_via_blocks(perm: Permutation, pos: int) -> set[int]:
 def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
     """Full adjacency (indexed by letter, entry 0 unused) in O(n).
 
-    Emits each edge from its maxima-side case, which covers the edge set
-    exactly once: leaves of a maxima block attach to the first letter of
-    the next block, and the last letter of a maxima block takes the whole
-    next block plus the first letter of the block three further on.  Both
-    sides increase left to right, so every list comes out ascending.
+    Builds each list whole from the maxima-side cases, which cover the
+    edge set exactly once: leaves of a maxima block attach to the first
+    letter of the next block (the hub), and the last letter of a maxima
+    block takes the whole next block plus the first letter of the block
+    three further on.  So a hub meets the previous pair's last maximum,
+    its leaves and its own last maximum, in that order.  Both sides
+    increase left to right, so every list comes out ascending.
     """
     n = perm.n
     starts = blocks(perm).starts
@@ -107,21 +109,19 @@ def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
         return adj
     w = perm.values
     last = len(starts) - 1
+    before: list[int] = []  # the previous pair's last maximum, which the hub also meets
     for t in range(0, last, 2):
         a, b, c = starts[t], starts[t + 1], starts[t + 2]
         tail, hub = w[b - 2], w[b - 1]
         leaves = w[a - 1 : b - 2]
-        adj[hub] += leaves
         for v in leaves:
-            adj[v].append(hub)
+            adj[v] = [hub]
+        adj[hub] = [*before, *leaves, tail]
         rest = w[b - 1 : c - 1]
-        adj[tail] += rest
-        for v in rest:
-            adj[v].append(tail)
-        if t + 3 < last:
-            far = w[starts[t + 3] - 1]
-            adj[tail].append(far)
-            adj[far].append(tail)
+        for v in rest[1:]:
+            adj[v] = [tail]
+        adj[tail] = [*rest, w[starts[t + 3] - 1]] if t + 3 < last else list(rest)
+        before = [tail]
     return adj
 
 
@@ -158,22 +158,26 @@ def ordered_spine(adjacency: list[list[int]], n: int, first_letter: int) -> tupl
     the endpoint lying in {1, first_letter}; raises if the nonleaves do
     not form a path (i.e. the graph is not a caterpillar).
     """
-    inner = [False] + [len(adjacency[v]) >= 2 for v in range(1, n + 1)]
+    inner = [False] + [len(nbrs) >= 2 for nbrs in adjacency[1 : n + 1]]
     size = inner.count(True)
     if size == 1:
         return (inner.index(True),)
-    ends = (v for v in (1, first_letter) if inner[v] and sum(inner[u] for u in adjacency[v]) <= 1)
+    ends = (v for v in (1, first_letter) if inner[v] and sum(map(inner.__getitem__, adjacency[v])) <= 1)
     start = next(ends, None)
     if start is None:
         raise RuntimeError("no spine endpoint in {1, w_1}; not a tree permutation?")
     path = [start]
-    prev = 0
+    prev, v = 0, start
     while True:
-        nxt = [u for u in adjacency[path[-1]] if inner[u] and u != prev]
-        if len(nxt) != 1:
+        ahead = count = 0
+        for u in adjacency[v]:
+            if inner[u] and u != prev:
+                ahead = u
+                count += 1
+        if count != 1:
             break
-        prev = path[-1]
-        path.append(nxt[0])
+        prev, v = v, ahead
+        path.append(v)
     # the walk stops early at a branch or when the nonleaves are disconnected
     if len(path) != size:
         raise RuntimeError("nonleaf vertices do not form a path; not a tree permutation?")

@@ -27,10 +27,23 @@ def test_treecode_validation_and_packing():
     assert TreeCode.from_packed(5, 5) == c
     with pytest.raises(ValueError):
         TreeCode(4, (1,))
-    with pytest.raises(ValueError):
-        TreeCode(4, (2, 0))
+    for bad in ((2, 0), (0, -1), (1,), (1, 0, 1)):
+        with pytest.raises(ValueError):
+            TreeCode(4, bad)
+    assert TreeCode(5, np.array([1, 0, 1], dtype=np.uint8)) == c
+    assert TreeCode(5, [True, False, True]) == c
+    assert TreeCode(5, np.array([True, False, True])).bits == (1, 0, 1)
+    assert all(type(b) is int for b in TreeCode(5, [True, False, True]).bits)
     with pytest.raises(ValueError):
         TreeCode.from_packed(4, 4)
+    with pytest.raises(ValueError):
+        TreeCode.from_packed(4, -1)
+    assert TreeCode.from_packed(2, 0) == TreeCode(2, ())
+    for n in (3, 12, 70):
+        for value in (0, 1, (1 << (n - 2)) - 1, 0b1011 % (1 << (n - 2))):
+            code = TreeCode.from_packed(n, value)
+            assert code.packed == value
+            assert code.bits == tuple((value >> j) & 1 for j in range(n - 2))
 
 
 def test_treecode_json_roundtrip():

@@ -27,6 +27,7 @@ from permtree.cover import (
     marking_algorithm,
     min_cover_oracle,
 )
+from permtree.errors import NotATreeError
 from permtree.perm import Permutation, build_graph
 from permtree.stats import CoinSequence, coin_stats
 from permtree.structure import adjacency_via_blocks, central_path
@@ -86,6 +87,12 @@ def test_min_cover_examples():
         star = decode(TreeCode(n, (0,) * (n - 2)))
         assert sorted(len(nbrs) for nbrs in build_graph(star))[-1] == n - 1
         assert min_cover_oracle(star) == 1
+
+
+def test_min_cover_oracle_rejects_a_disconnected_graph():
+    two_edges = [[], [2], [1], [4], [3]]
+    with pytest.raises(NotATreeError):
+        min_cover_oracle(Permutation([2, 1, 4, 3]), two_edges)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

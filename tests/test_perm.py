@@ -1,6 +1,7 @@
 """Ground-truth layer: inversions, graphs, connectivity, patterns."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from permtree.perm import (
@@ -35,6 +36,11 @@ def test_permutation_validation():
         Permutation([0, 1])
     with pytest.raises(ValueError):
         Permutation([2, 3])
+    for bad in ([1, 2, 2], [2, 0, 1], [1, 2, 4], [3, 1, 1]):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    p = Permutation(np.array([2, 3, 1], dtype=np.uint8))
+    assert p.values == (2, 3, 1) and all(type(v) is int for v in p.values)
     p = Permutation([2, 1])
     with pytest.raises(AttributeError):
         p.values = (1, 2)

@@ -2,9 +2,10 @@
 
 Codes up to n = 10^4 are drawn at random; on each decoded tree the block
 shortcuts must equal the inversion-graph definition, the spine must end
-where the structure lemma says, encode must invert decode, and a swap of
-two letters must be rejected by encode exactly when the inversion graph
-stops being a tree.  Below the random range, every permutation of S_n for
+where the structure lemma says, encode must invert decode, the four cover
+routes must agree on both adjacencies (and the marking must match its
+definition up to n = 1000), and a swap of two letters must be rejected by
+encode exactly when the inversion graph stops being a tree.  Below the random range, every permutation of S_n for
 n <= 8 is offered to encode.
 """
 from __future__ import annotations
@@ -17,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permtree.codec import TreeCode, decode, encode
+from permtree.cover import gamma_code, gamma_formula, marking_algorithm, min_cover_oracle
 from permtree.errors import NotATreeError
 from permtree.perm import Permutation, build_graph, is_tree_permutation
 from permtree.structure import adjacency_via_blocks, central_path, degree_sequence
+
+from conftest import marking_brute, naive_edges
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -87,3 +91,22 @@ def test_encode_raises_exactly_on_non_trees(n, trees_up_to_8):
         except NotATreeError:
             accepted = False
         assert accepted == (values in trees_up_to_8[n])
+
+
+@PROPERTY
+@given(codes())
+def test_cover_routes_agree_on_both_adjacencies(code):
+    p = decode(code)
+    gamma = gamma_code(code)
+    for adj in (build_graph(p), adjacency_via_blocks(p)):
+        assert marking_algorithm(p, adj).size == gamma_formula(p, adj) == min_cover_oracle(p, adj) == gamma
+
+
+@PROPERTY
+@given(codes(max_n=1000))
+def test_marking_matches_the_definition_on_random_codes(code):
+    p = decode(code)
+    chosen, first = marking_brute(p.n, naive_edges(p.values))
+    for adj in (build_graph(p), adjacency_via_blocks(p)):
+        res = marking_algorithm(p, adj)
+        assert (res.chosen, res.s1) == (chosen, first)

@@ -58,6 +58,14 @@ def _off_by_one(f):
     return lambda *args: f(*args) + 1
 
 
+def _one_more_marked(f):
+    def marking(*args):
+        res = f(*args)
+        return dataclasses.replace(res, size=res.size + 1)
+
+    return marking
+
+
 # (check, module, attribute, mutation of the routine the check calls)
 MUTANTS = [
     (verify.CENSUS, counting, "forest_total", _off_by_one),
@@ -68,7 +76,9 @@ MUTANTS = [
      lambda f: lambda p: [nbrs[1:] for nbrs in f(p)]),
     (verify.CATERPILLAR, structure, "central_path",
      lambda f: lambda p: CentralPath(tuple(sorted(f(p).vertices)))),
+    (verify.COVER, cover, "marking_algorithm", _one_more_marked),
     (verify.COVER, cover, "gamma_formula", _off_by_one),
+    (verify.COVER, cover, "min_cover_oracle", _off_by_one),
     (verify.DECOMPOSITION, cover, "run_lengths", lambda f: lambda bits: [1] * len(bits)),
     (verify.LAWS, stats, "diameter_pmf", lambda f: lambda n, d: f(n, d + 1)),
     (verify.LAWS, stats, "coin_stats",
