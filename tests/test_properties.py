@@ -5,8 +5,8 @@ shortcuts must equal the inversion-graph definition, the spine must end
 where the structure lemma says, encode must invert decode, the four cover
 routes must agree on both adjacencies (and the marking must match its
 definition up to n = 1000), and a swap of two letters must be rejected by
-encode exactly when the inversion graph stops being a tree.  Below the random range, every permutation of S_n for
-n <= 8 is offered to encode.
+encode exactly when the inversion graph stops being a tree.  Below the
+random range, every permutation of S_n for n <= 8 is offered to encode.
 """
 from __future__ import annotations
 
