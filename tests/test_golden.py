@@ -3,9 +3,10 @@
 Reports are pure functions of their configuration, so a kernel or report
 refactor that changes no behaviour leaves these SHA-256 digests of
 ``run_experiment(config).to_json()`` unchanged.  The configurations are
-small (n <= 5000, at most 3000 samples); the n = 200 runs span three
-sample chunks, and the n = 2..6 runs cover the degenerate trees.  The
-stdout of three CLI commands is pinned the same way.
+small (n <= 8500, at most 3000 samples); the n = 200 runs span three
+sample chunks, the n = 2..6 runs cover the degenerate trees, and the
+1100-sample runs at n >= 3000 spread wide enough to carry a normality
+(ks) gate.  The stdout of three CLI commands is pinned the same way.
 """
 from __future__ import annotations
 
@@ -48,12 +49,28 @@ GOLDEN = [
      "e1027325976b8658e31aa6c887c5416c8a959d19e58a12fefdc67db0cacdcb95"),
     (dict(n=5000, samples=1100, seed=78, statistic="diam"),
      "6b18146eb06e09512d9ad5c7105ad39f6d9f7dea8621a33dd0a6c5b3d9d5ab3d"),
+    # normality gates: at least 1000 values and std * ks_limit >= 0.25
+    (dict(n=4000, samples=1100, seed=79, statistic="leaves"),
+     "0a61f0fe8c52357439deb198c257f0e9edba29a2f73c8eacbf3418ba390b99b7"),
+    (dict(n=8500, samples=1100, seed=88, statistic="gamma"),
+     "f5c1c0272f4cf8c14bb158fb0429374dc483d181a59cff33b5830d1bae55a333"),
+    (dict(n=3000, samples=1100, seed=81, statistic="dcov", m=5),
+     "a7fb3098cd4c7f84a431cb55921a344af79399b566b869bb76744702afd481d5"),
 ]
 
 
 def _id(case):
     cfg = case[0]
     return f"{cfg['statistic']}-n{cfg['n']}-s{cfg['samples']}"
+
+
+# the ks gate each normality case must carry, so its digest covers that path
+KS_GATES = {
+    "leaves-n4000-s1100": "normality_ks",
+    "gamma-n8500-s1100": "normality_ks",
+    "dcov-n3000-s1100": "normality_d1_ks",
+}
+KS_CASES = [c for c in GOLDEN if _id(c) in KS_GATES]
 
 
 def test_golden_configs_span_several_chunks():
@@ -68,6 +85,13 @@ def test_report_digest(case):
     cfg, digest = case
     text = run_experiment(ExperimentConfig(**cfg)).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", KS_CASES, ids=[_id(c) for c in KS_CASES])
+def test_normality_cases_carry_a_ks_gate(case):
+    assert len(KS_CASES) == len(KS_GATES)
+    tests = run_experiment(ExperimentConfig(**case[0])).tests
+    assert [t["name"] for t in tests if t["kind"] == "ks"] == [KS_GATES[_id(case)]]
 
 
 CLI_GOLDEN = [
