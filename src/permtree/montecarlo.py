@@ -154,17 +154,7 @@ class StatReport:
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": self.schema,
-                "config": self.config,
-                "empirical": self.empirical,
-                "theory": self.theory,
-                "tests": self.tests,
-                "verdict": self.verdict,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
     def csv_rows(self) -> list[tuple]:
         """Histogram projection: rows (value, count, expected)."""
@@ -283,6 +273,10 @@ def _merged_values(parts: list[dict]) -> np.ndarray:
     return np.concatenate([p["values"] for p in parts])
 
 
+def _summed(parts: list[dict], key: str) -> np.ndarray:
+    return np.sum([p[key] for p in parts], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Test helpers
 # ---------------------------------------------------------------------------
@@ -362,56 +356,59 @@ def normality_check(values) -> dict:
     return {"count": int(count), "ks": ks, "skewness": skew, "excess_kurtosis": kurt}
 
 
+def _test(name: str, kind: str, value: float, limit: float, **fields) -> dict:
+    """One gate of a report: it passes when ``value <= limit``."""
+    return {"name": name, "kind": kind, "value": value, "limit": limit,
+            "pass": bool(value <= limit), **fields}
+
+
 def _z_test(name: str, emp: float, theory: float, se: float, limit: float) -> dict:
     if se == 0.0:
         value = 0.0 if emp == theory else math.inf
     else:
         value = abs(emp - theory) / se
-    return {
-        "name": name,
-        "kind": "z",
-        "empirical": emp,
-        "theory": theory,
-        "value": value,
-        "limit": limit,
-        "pass": bool(value <= limit),
-    }
+    return _test(name, "z", value, limit, empirical=emp, theory=theory)
 
 
 def _abs_test(name: str, emp: float, theory: float, limit: float) -> dict:
-    value = abs(emp - theory)
-    return {
-        "name": name,
-        "kind": "abs",
-        "empirical": emp,
-        "theory": theory,
-        "value": value,
-        "limit": limit,
-        "pass": bool(value <= limit),
-    }
+    return _test(name, "abs", abs(emp - theory), limit, empirical=emp, theory=theory)
 
 
-def _shape_entries(values: np.ndarray, name: str, limit: float) -> tuple[dict | None, dict | None]:
-    """Normality score, plus a pass/fail test when the lattice resolves it.
+def _add_shape(empirical: dict, tests: list, key: str, values: np.ndarray, limit: float) -> None:
+    """Normality score as ``empirical[key]``, gated as ``{key}_ks`` when the lattice resolves it.
 
     Integer statistics sit on a lattice whose CDF jumps are about 0.4 per
     standard deviation; the sup-deviation test only gates once the spread
     makes the limit attainable (std * limit >= 0.25).
     """
     arr = np.asarray(values)
-    if arr.size < 1000 or arr.std() == 0.0:
-        return None, None
-    shape = normality_check(arr)
-    if arr.std() * limit < 0.25:
-        return shape, None
-    test = {
-        "name": name,
-        "kind": "ks",
-        "value": shape["ks"],
-        "limit": limit,
-        "pass": bool(shape["ks"] <= limit),
-    }
-    return shape, test
+    std = arr.std()
+    if arr.size < 1000 or std == 0.0:
+        return
+    empirical[key] = normality_check(arr)
+    if std * limit >= 0.25:
+        tests.append(_test(f"{key}_ks", "ks", empirical[key]["ks"], limit))
+
+
+def _mean_tests(
+    prefix: str, sums: np.ndarray, sumsqs: np.ndarray, theory: Mapping[int, float],
+    count: int, limit: float,
+) -> dict[int, dict]:
+    """z gates ``{prefix}_{k}`` on the means by k, from exact integer sums and sums of squares."""
+    gates = {}
+    for k, th_mean in theory.items():
+        emp_mean = float(sums[k - 1]) / count
+        se = 0.0
+        if count > 1:
+            emp_var = (float(sumsqs[k - 1]) - count * emp_mean**2) / (count - 1)
+            se = math.sqrt(max(emp_var, 0.0) / count)
+        gates[k] = _z_test(f"{prefix}_{k}", emp_mean, th_mean, se, limit)
+    return gates
+
+
+def _by_k(gates: Mapping[int, dict], side: str) -> dict[str, float]:
+    """The ``empirical`` or ``theory`` field of per-k gates, keyed by ``str(k)``."""
+    return {str(k): gate[side] for k, gate in gates.items()}
 
 
 def _moments_from_values(values: np.ndarray) -> tuple[float, float, float]:
@@ -498,38 +495,19 @@ def _scalar_law_report(
         sd = math.sqrt(max(th_var, 1.0))
         pmf = _binomial_pmf_window(n, values, th_mean, sd)
 
-    tests = [
-        _z_test(
-            "mean",
-            mean,
-            th_mean,
-            math.sqrt(var / count) if count > 1 else 0.0,
-            tol.z_limit,
-        )
-    ]
+    se_mean = math.sqrt(var / count) if count > 1 else 0.0
+    tests = [_z_test("mean", mean, th_mean, se_mean, tol.z_limit)]
     stat, dof = chi_square(hist, pmf)
+    # with no degree of freedom only stat == 0.0 passes: stat is >= 0 or inf
     limit = float(chdtri(dof, 1.0 - tol.chi2_quantile)) if dof >= 1 else 0.0
-    tests.append(
-        {
-            "name": "law_chi2",
-            "kind": "chi2",
-            "value": stat,
-            "dof": dof,
-            "limit": limit,
-            "pass": bool(stat <= limit) if dof >= 1 else bool(stat == 0.0),
-        }
-    )
+    tests.append(_test("law_chi2", "chi2", stat, limit, dof=dof))
     empirical = {
         "mean": mean,
         "variance": var,
         "histogram": {str(k): v for k, v in hist.items()},
     }
     if normality:
-        shape, shape_test = _shape_entries(values, "normality_ks", tol.ks_limit)
-        if shape is not None:
-            empirical["normality"] = shape
-        if shape_test is not None:
-            tests.append(shape_test)
+        _add_shape(empirical, tests, "normality", values, tol.ks_limit)
     theory = {
         "mean": th_mean,
         "variance": th_var,
@@ -545,24 +523,24 @@ def _maxdeg_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, d
     count = values.size
     hist = _histogram(values)
     base = math.floor(math.log2(n - 3))
-    tests = []
-    emp_cdf = {}
-    th_cdf = {}
     sorted_vals = np.sort(values)
-    for k in MAXDEG_K_RANGE:
-        emp = float(np.searchsorted(sorted_vals, k + base, side="left")) / count
-        th = _stats.maxdeg_cdf_approx(n, k)
-        emp_cdf[str(k)] = emp
-        th_cdf[str(k)] = th
-        tests.append(_abs_test(f"cdf_shift_{k}", emp, th, tol.cdf_abs))
+    gates = {
+        k: _abs_test(
+            f"cdf_shift_{k}",
+            float(np.searchsorted(sorted_vals, k + base, side="left")) / count,
+            _stats.maxdeg_cdf_approx(n, k),
+            tol.cdf_abs,
+        )
+        for k in MAXDEG_K_RANGE
+    }
     empirical = {
         "mean": float(values.mean()),
         "histogram": {str(k): v for k, v in hist.items()},
-        "cdf_shifted": emp_cdf,
+        "cdf_shifted": _by_k(gates, "empirical"),
         "log2_floor": base,
     }
-    theory = {"cdf_shifted": th_cdf, "log2_floor": base}
-    return empirical, theory, tests
+    theory = {"cdf_shifted": _by_k(gates, "theory"), "log2_floor": base}
+    return empirical, theory, list(gates.values())
 
 
 def _gamma_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
@@ -585,11 +563,7 @@ def _gamma_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, di
         "var_over_n": var / n,
         "histogram": {str(k): v for k, v in _histogram(values).items()},
     }
-    shape, shape_test = _shape_entries(values, "normality_ks", tol.ks_limit)
-    if shape is not None:
-        empirical["normality"] = shape
-    if shape_test is not None:
-        tests.append(shape_test)
+    _add_shape(empirical, tests, "normality", values, tol.ks_limit)
     theory = {
         "mean": th.mean,
         "variance": exact_rate * n,
@@ -601,43 +575,24 @@ def _gamma_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, di
 
 def _dcensus_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
     n = config.n
-    tol = config.tolerances
     count = config.samples
-    dsum = np.sum([p["dsum"] for p in parts], axis=0)
-    dsumsq = np.sum([p["dsumsq"] for p in parts], axis=0)
-    wsum = np.sum([p["wsum"] for p in parts], axis=0)
-    wsumsq = np.sum([p["wsumsq"] for p in parts], axis=0)
-
-    tests = []
-    deg_means = {}
-    deg_theory = {}
-    for k in range(1, config.kmax + 1):
-        emp_mean = float(dsum[k - 1]) / count
-        th_mean = _stats.expected_degree_count(n, k)
-        se = 0.0
-        if count > 1:
-            emp_var = (float(dsumsq[k - 1]) - count * emp_mean**2) / (count - 1)
-            se = math.sqrt(max(emp_var, 0.0) / count)
-        deg_means[str(k)] = emp_mean
-        deg_theory[str(k)] = th_mean
-        tests.append(_z_test(f"degree_count_{k}", emp_mean, th_mean, se, tol.z_limit))
-
-    win_means = {}
-    win_theory = {}
-    for k in range(1, min(WINDOW_K_MAX, n - 4) + 1):
-        emp_mean = float(wsum[k - 1]) / count
-        th_mean = _stats.y_star_moments(n, k).mean
-        se = 0.0
-        if count > 1:
-            emp_var = (float(wsumsq[k - 1]) - count * emp_mean**2) / (count - 1)
-            se = math.sqrt(max(emp_var, 0.0) / count)
-        win_means[str(k)] = emp_mean
-        win_theory[str(k)] = th_mean
-        tests.append(_z_test(f"window_count_{k}", emp_mean, th_mean, se, tol.z_limit))
-
-    empirical = {"degree_means": deg_means, "window_means": win_means}
-    theory = {"degree_means": deg_theory, "window_means": win_theory}
-    return empirical, theory, tests
+    limit = config.tolerances.z_limit
+    degree = _mean_tests(
+        "degree_count", _summed(parts, "dsum"), _summed(parts, "dsumsq"),
+        {k: _stats.expected_degree_count(n, k) for k in range(1, config.kmax + 1)},
+        count, limit,
+    )
+    window = _mean_tests(
+        "window_count", _summed(parts, "wsum"), _summed(parts, "wsumsq"),
+        {k: _stats.y_star_moments(n, k).mean for k in range(1, min(WINDOW_K_MAX, n - 4) + 1)},
+        count, limit,
+    )
+    empirical = {
+        "degree_means": _by_k(degree, "empirical"),
+        "window_means": _by_k(window, "empirical"),
+    }
+    theory = {"degree_means": _by_k(degree, "theory"), "window_means": _by_k(window, "theory")}
+    return empirical, theory, [*degree.values(), *window.values()]
 
 
 def _dcov_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
@@ -645,28 +600,18 @@ def _dcov_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dic
     m = config.m
     tol = config.tolerances
     count = config.samples
-    dsum = np.sum([p["dsum"] for p in parts], axis=0).astype(np.float64)
-    dd = np.sum([p["dd"] for p in parts], axis=0).astype(np.float64)
+    dsum = _summed(parts, "dsum").astype(np.float64)
+    dd = _summed(parts, "dd").astype(np.float64)
     cov = (dd - np.outer(dsum, dsum) / count) / (count - 1) / n
     theory_cov = _stats.degree_cov(m)
-    tests = []
-    for i in range(m):
-        for j in range(i, m):
-            tests.append(
-                _abs_test(
-                    f"cov_{i + 1}_{j + 1}",
-                    float(cov[i, j]),
-                    float(theory_cov[i, j]),
-                    tol.cov_abs,
-                )
-            )
+    tests = [
+        _abs_test(f"cov_{i + 1}_{j + 1}", float(cov[i, j]), float(theory_cov[i, j]), tol.cov_abs)
+        for i in range(m)
+        for j in range(i, m)
+    ]
     d1 = np.concatenate([p["d1"] for p in parts])
     empirical = {"cov": [[float(x) for x in row] for row in cov]}
-    shape, shape_test = _shape_entries(d1, "normality_d1_ks", tol.ks_limit)
-    if shape is not None:
-        empirical["normality_d1"] = shape
-    if shape_test is not None:
-        tests.append(shape_test)
+    _add_shape(empirical, tests, "normality_d1", d1, tol.ks_limit)
     theory = {"cov": [[float(x) for x in row] for row in theory_cov]}
     return empirical, theory, tests
 
