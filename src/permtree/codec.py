@@ -206,15 +206,7 @@ def enumerate_trees(n: int, cap: int | None = None) -> Iterator[Permutation]:
     >>> [p.values for p in enumerate_trees(3)]
     [(3, 1, 2), (2, 3, 1)]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
-    width = max(n - 2, 0)
-    for k in range(1 << width):
-        bits = [(k >> j) & 1 for j in range(width)]
-        yield Permutation(_decode_values(n, bits))
+    return map(decode, enumerate_codes(n, cap))
 
 
 def enumerate_codes(n: int, cap: int | None = None) -> Iterator[TreeCode]:

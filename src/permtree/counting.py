@@ -11,9 +11,6 @@ against the closed forms in the tests.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from itertools import permutations as _lex_permutations
@@ -92,37 +89,6 @@ class CensusTable:
     @property
     def forest_total(self) -> int:
         return sum(self.forests_by_m.values())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "permtree/1",
-                "n": self.n,
-                "total": self.total,
-                "connected": self.connected,
-                "trees": self.trees,
-                "forests_by_m": {str(m): c for m, c in sorted(self.forests_by_m.items())},
-            },
-            sort_keys=True,
-        )
-
-    def csv_rows(self) -> list[tuple]:
-        """Rows (n, class, m, count); m is blank except for forest rows."""
-        rows = [
-            (self.n, "total", "", self.total),
-            (self.n, "connected", "", self.connected),
-            (self.n, "trees", "", self.trees),
-        ]
-        for m, c in sorted(self.forests_by_m.items()):
-            rows.append((self.n, "forests", m, c))
-        return rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("n", "class", "m", "count"))
-        writer.writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 def _census_block(n: int, first_letters: tuple[int, ...]) -> tuple[int, int, int, dict[int, int]]:

@@ -169,6 +169,7 @@ def test_enumerate_cap_exit_2(run):
         ("verify", "--max-n", "3"),
         ("verify", "--max-n", "6", "--workers", "0"),
         ("sample", "--n", "5", "--count", "-1", "--seed", "1"),
+        ("verify", "--max-n", "6", "--format", "csv"),
     ],
 )
 def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):

@@ -1,7 +1,6 @@
 """Exact counts vs the brute-force census and cross-identities."""
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -83,15 +82,3 @@ def test_census_n9_full_cap():
     """The top of the census range still matches every closed form."""
     assert verify.CENSUS.at(9, 2) == (math.factorial(9), 0)
 
-
-def test_census_serialization():
-    table = census(4)
-    obj = json.loads(table.to_json())
-    assert obj["schema"] == "permtree/1"
-    assert obj["trees"] == 4
-    assert obj["forests_by_m"]["2"] == 5
-    text = table.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,class,m,count"
-    assert "4,forests,2,5" in lines
-    assert len(table.csv_rows()) == 3 + len(table.forests_by_m)

@@ -2,25 +2,17 @@
 from __future__ import annotations
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import permtree.codec
-import permtree.counting
-import permtree.cover
-import permtree.montecarlo
-import permtree.perm
-import permtree.stats
-import permtree.structure
+import permtree
 
+# every module of the package, so a new one cannot be missed
 MODULES = [
-    permtree.perm,
-    permtree.codec,
-    permtree.structure,
-    permtree.stats,
-    permtree.counting,
-    permtree.cover,
-    permtree.montecarlo,
+    importlib.import_module(f"permtree.{info.name}")
+    for info in pkgutil.iter_modules(permtree.__path__)
 ]
 
 
