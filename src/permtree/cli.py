@@ -2,9 +2,10 @@
 
 Subcommands: count, enumerate, sample, stats, theory, verify.  JSON is the
 canonical output format (schema tag "permtree/1"); csv and text are
-projections of the same data, and ``verify`` offers json and text only.  Sampling subcommands require an explicit
-seed so every invocation is reproducible byte for byte.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+projections of the same data, and ``verify`` offers json and text only.
+Sampling subcommands require an explicit seed so every invocation is
+reproducible byte for byte.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.
 """
 from __future__ import annotations
 
