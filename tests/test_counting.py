@@ -81,4 +81,3 @@ def test_census_workers_equivalent():
 def test_census_n9_full_cap():
     """The top of the census range still matches every closed form."""
     assert verify.CENSUS.at(9, 2) == (math.factorial(9), 0)
-
