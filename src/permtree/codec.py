@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, NotATreeError
-from .perm import Permutation
+from .perm import Permutation, int_entries
 
 DEFAULT_ENUM_CAP = 30
 ENUM_CAP_ENV = "PERMTREE_ENUM_CAP"
@@ -53,7 +53,7 @@ class TreeCode:
         n = int(n)
         if n < 1:
             raise ValueError("code length parameter n must be >= 1")
-        bts = tuple(map(int, bits))
+        bts = int_entries(bits)
         if len(bts) != max(n - 2, 0):
             raise ValueError(f"expected {max(n - 2, 0)} bits for n={n}, got {len(bts)}")
         if not {0, 1}.issuperset(bts):
@@ -222,8 +222,17 @@ def enumerate_codes(n: int, cap: int | None = None) -> Iterator[TreeCode]:
 
 
 def random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
-    """Canonical fair-bit draw shared by sampling and the Monte Carlo harness."""
-    return rng.integers(0, 2, size=length, dtype=np.uint8)
+    """Canonical fair-bit draw shared by sampling and the Monte Carlo harness.
+
+    The bits are ``rng.integers(0, 2, length, dtype=np.uint8)``.  numpy
+    draws those as the top bit of each byte of successive 32-bit words, low
+    byte first, and drops the unused bytes of the last word; drawing the
+    words whole gives the same bits and leaves ``rng`` in the same state.
+    """
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    words = rng.integers(0, 1 << 32, size=(length + 3) // 4, dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:length] >> 7
 
 
 def sample_tree(n: int, rng: np.random.Generator) -> Permutation:

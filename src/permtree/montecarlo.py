@@ -7,7 +7,10 @@ Every sample gets its own Philox-4x64 generator keyed counter-style by
 
 so substreams are pairwise independent by construction, no substream is
 shared between statistics, and sample i's draw does not depend on chunk
-boundaries or worker count.  All aggregation is exact integer arithmetic
+boundaries or worker count.  A chunk builds one generator and re-keys it
+for each of its samples (counter 0, empty buffers), which gives every
+sample the same stream as :func:`substream` at a third of the cost of a
+new ``Philox``.  All aggregation is exact integer arithmetic
 (sums, squared sums, histograms, gathered value vectors in index order),
 so a report is a pure function of its configuration: identical config,
 identical bytes, regardless of parallelism.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,6 +48,7 @@ _SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 56
 _INT64_LIMIT = 1 << 63
 _SAMPLE_TAG = 8  # the streams of ``permtree sample``
+_GEOMETRIC_BUCKETS = 1 << 16
 
 MAXDEG_K_RANGE = tuple(range(-2, 7))
 WINDOW_K_MAX = 6
@@ -58,12 +62,16 @@ def substream(seed: int, domain: int | str, index: int) -> np.random.Generator:
     """
     if isinstance(domain, str):
         domain = _SAMPLE_TAG if domain == "sample" else REGISTRY[domain].domain
+    return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
+
+
+def _key(seed: int, domain: int, index: int) -> np.ndarray:
+    """The Philox key of sample ``index`` of ``domain`` under ``seed``."""
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError("seed must lie in [0, 2**64)")
     if not 0 <= index < _MAX_INDEX:
         raise ValueError("sample index out of the 56-bit range")
-    key = np.array([seed, ((domain & 0xFF) << 56) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([seed, ((domain & 0xFF) << 56) | index], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -182,9 +190,21 @@ class StatReport:
 
 
 def _substreams(config: ExperimentConfig, start: int, count: int):
-    """Generators of samples start .. start+count-1 of the statistic's domain."""
+    """Generators of samples start .. start+count-1 of the statistic's domain.
+
+    Each is ``substream(config.seed, domain, start + i)`` in stream and
+    state, but all are one generator re-keyed in place: finish drawing from
+    one sample before advancing to the next.
+    """
     domain = REGISTRY[config.statistic].domain
-    return (substream(config.seed, domain, start + i) for i in range(count))
+    rng = substream(config.seed, domain, start)
+    bit_generator = rng.bit_generator
+    fresh = bit_generator.state  # counter 0, empty buffers, no spare 32-bit half
+    yield rng
+    for index in range(start + 1, start + count):
+        fresh["state"]["key"] = _key(config.seed, domain, index)
+        bit_generator.state = fresh
+        yield rng
 
 
 def _tosses(config: ExperimentConfig, start: int, count: int) -> np.ndarray:
@@ -242,10 +262,57 @@ def _dcov_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
     }
 
 
+@lru_cache(maxsize=8)
+def _geometric_table(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums and bucket table of numpy's geometric search at ``p = 1 - q``.
+
+    numpy draws a geometric with p >= 1/3 as the least X with U <= S_X for
+    one ``random()`` double U, where S_1 = p and S_(k+1) = S_k + p r^k with
+    r = 1 - p, the product and the sum rounded step by step.  The sums are
+    built here in that float order, up to the first that no longer grows
+    (numpy's search never ends for a U above it).
+    Entry b of the table is X for every U in [b, b + 1) / 2^16, or 0 where
+    a partial sum splits that bucket.
+    """
+    p = 1.0 - q
+    r = 1.0 - p
+    sums = [p]
+    prod = p
+    while True:
+        prod *= r
+        total = sums[-1] + prod
+        if total == sums[-1]:
+            break
+        sums.append(total)
+    sums = np.array(sums)
+    # X - 1 = #{k : S_k < U}, constant over a bucket whose two edges agree
+    cut = np.searchsorted(sums, np.arange(_GEOMETRIC_BUCKETS + 1) / _GEOMETRIC_BUCKETS)
+    table = np.where(cut[:-1] == cut[1:], cut[:-1] + 1, 0).astype(np.int16)
+    sums.flags.writeable = table.flags.writeable = False
+    return sums, table
+
+
+def _geometric(rng: np.random.Generator, q: float, size: int) -> np.ndarray:
+    """The values of ``rng.geometric(1 - q, size)``, leaving ``rng`` in the same state.
+
+    Below p = 1/3 numpy inverts an exponential draw, which is left to it;
+    from p = 1/3 up its search is read from :func:`_geometric_table`.
+    """
+    if 1.0 - q < 1 / 3:
+        return rng.geometric(1.0 - q, size=size)
+    sums, table = _geometric_table(q)
+    u = rng.random(size)
+    draws = table[(u * _GEOMETRIC_BUCKETS).astype(np.intp)]
+    split = draws == 0
+    if split.any():
+        draws[split] = np.searchsorted(sums, u[split]) + 1
+    return draws
+
+
 def _runs_geometric_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
     vals = np.empty(count, dtype=np.int64)
     for i, rng in enumerate(_substreams(config, start, count)):
-        draws = rng.geometric(1.0 - config.q, size=config.n)
+        draws = _geometric(rng, config.q, config.n)
         vals[i] = 1 + int(np.count_nonzero(draws[1:] != draws[:-1]))
     return {"values": vals}
 

@@ -12,10 +12,29 @@ Positions and letters are both 1-based throughout.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right, insort
 from typing import Iterable, Iterator
 
 import numpy as np
+
+
+def int_entries(values: Iterable) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints, refusing entries that are not integers.
+
+    Python and numpy integers and bools pass; a float, a string or any
+    other entry without ``__index__`` raises :class:`TypeError` instead of
+    being truncated or parsed.
+
+    >>> int_entries([2, True, np.uint8(3), np.False_])
+    (2, 1, 3, 0)
+    """
+    vals = tuple(values)
+    try:
+        return tuple(map(operator.index, vals))
+    except TypeError:
+        # numpy bools have no __index__: the one non-int entry that passes
+        return tuple(int(v) if isinstance(v, np.bool_) else operator.index(v) for v in vals)
 
 
 class Permutation:
@@ -33,7 +52,7 @@ class Permutation:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(map(int, values))
+        vals = int_entries(values)
         n = len(vals)
         if n < 1:
             raise ValueError("permutation must have length >= 1")

@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from permtree.errors import NotATreeError
@@ -223,3 +224,42 @@ def insert_second_kind(p: Permutation, check: bool = False) -> Permutation:
     w[w.index(n)] = n + 1
     w.append(n)
     return Permutation(w)
+
+
+# ---------------------------------------------------------------------------
+# numpy's own draws, which the harness's faster draws must reproduce
+# ---------------------------------------------------------------------------
+
+
+def integer_bits(rng, length):
+    """Fair bits as numpy draws them, one bounded uint8 integer each."""
+    return rng.integers(0, 2, size=length, dtype=np.uint8)
+
+
+def numpy_geometric(rng, q, size):
+    """Geometric(1 - q) draws as numpy makes them."""
+    return rng.geometric(1.0 - q, size=size)
+
+
+def geometric_partial_sums(p, count):
+    """The first ``count`` sums S_1, S_2, ... of numpy's geometric search, in its float order."""
+    sums = []
+    total = prod = p
+    r = 1.0 - p
+    for _ in range(count):
+        sums.append(total)
+        prod *= r
+        total += prod
+    return sums
+
+
+def geometric_search(p, u):
+    """numpy's geometric draw for p >= 1/3 from the double ``u``: the least X with u <= S_X."""
+    x = 1
+    total = prod = p
+    r = 1.0 - p
+    while u > total:
+        prod *= r
+        total += prod
+        x += 1
+    return x

@@ -34,6 +34,10 @@ def test_treecode_validation_and_packing():
     assert TreeCode(5, [True, False, True]) == c
     assert TreeCode(5, np.array([True, False, True])).bits == (1, 0, 1)
     assert all(type(b) is int for b in TreeCode(5, [True, False, True]).bits)
+    # entries are never truncated or parsed
+    for bad in ([1.9, "0"], [1.0, 0], [1, "0"], [np.float64(1.0), 0]):
+        with pytest.raises(TypeError):
+            TreeCode(4, bad)
     with pytest.raises(ValueError):
         TreeCode.from_packed(4, 4)
     with pytest.raises(ValueError):

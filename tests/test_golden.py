@@ -3,7 +3,7 @@
 Reports are pure functions of their configuration, so a kernel or report
 refactor that changes no behaviour leaves these SHA-256 digests of
 ``run_experiment(config).to_json()`` unchanged.  The configurations are
-small (n <= 8500, at most 3000 samples); the n = 200 runs span three
+small (n <= 8500, at most 3000 samples); the n = 200 to 300 runs span three
 sample chunks, the n = 2..6 runs cover the degenerate trees, and the
 1100-sample runs at n >= 3000 spread wide enough to carry a normality
 (ks) gate.  The stdout of three CLI commands is pinned the same way.
@@ -32,6 +32,12 @@ GOLDEN = [
      "5ca1fc9869b1c585a34e23c4dc1e2e0056d3d1347002b9326e2af488acf7acf5"),
     (dict(n=200, samples=3000, seed=20240601, statistic="runs_geometric", q=0.3),
      "e09ffc53a537d3f45b896c303cd476aa4cfcb7aecfb109ccc78bbcd27baa146a"),
+    # numpy draws a geometric with p < 1/3 by inversion, and with p >= 1/3
+    # by a search; q = 2/3 gives p = 0.33333333333333337, the search side
+    (dict(n=250, samples=3000, seed=20240601, statistic="runs_geometric", q=0.8),
+     "f50938c7142598b68d4db4243d85d6345df2f70eb121ec7d20717964eff165eb"),
+    (dict(n=300, samples=3000, seed=20240601, statistic="runs_geometric", q=2 / 3),
+     "2fa2bb789ef4f1836ef74fcf3dee8ba68b53c8e8d4efea45fabe2e98078eee6f"),
     (dict(n=2, samples=50, seed=1, statistic="leaves"),
      "04860b2fa39ba1613ad780650317532a4d0e11a52d8bd4bf9c43d059b16add74"),
     (dict(n=3, samples=50, seed=1, statistic="diam"),

@@ -41,6 +41,10 @@ def test_permutation_validation():
             Permutation(bad)
     p = Permutation(np.array([2, 3, 1], dtype=np.uint8))
     assert p.values == (2, 3, 1) and all(type(v) is int for v in p.values)
+    # entries are never truncated or parsed
+    for bad in ([2.9, 1.2], [2.0, 1], [2, "1"], [np.float64(2.0), 1]):
+        with pytest.raises(TypeError):
+            Permutation(bad)
     p = Permutation([2, 1])
     with pytest.raises(AttributeError):
         p.values = (1, 2)
