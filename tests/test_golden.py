@@ -6,7 +6,8 @@ refactor that changes no behaviour leaves these SHA-256 digests of
 small (n <= 8500, at most 3000 samples); the n = 200 to 300 runs span three
 sample chunks, the n = 2..6 runs cover the degenerate trees, and the
 1100-sample runs at n >= 3000 spread wide enough to carry a normality
-(ks) gate.  The stdout of three CLI commands is pinned the same way.
+(ks) gate.  The stdout of CLI commands is pinned the same way: three JSON
+outputs and every csv and text projection.
 """
 from __future__ import annotations
 
@@ -111,7 +112,57 @@ CLI_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("case", CLI_GOLDEN, ids=[c[0].split()[0] for c in CLI_GOLDEN])
+# every csv and text projection; the empty cells of a one-letter tree and
+# both stats tables (histogram for leaves, gates for dcov) included
+CLI_PROJECTIONS = [
+    ("count --what trees --n 10 --format csv",
+     "b8bb1b313429b87e788a5543dad39a42ceaa2422ad05f0cb62655cb857052f54"),
+    ("count --what forests --n 12 --m 3 --format csv",
+     "ab4fcfb8a08d5ad294bc1f10332a6c29235f7807dd3ecb94688034aa0d5264a9"),
+    ("count --what forests --n 12 --format csv",
+     "c014edccb5697a735b64bb7df8b3e7ca54fed070ada4a438c2db4eb617419de2"),
+    ("count --what forests --n 12 --m 3 --format text",
+     "9952650dbb26a7c5275a61397a9cd29c9fc3db27e50b0de551eade37bf153839"),
+    ("count --what indecomposable --n 9 --format text",
+     "678381b17330b840a41a3086f389d569b43dc1bb59f319cec252fe38192b24ec"),
+    ("enumerate --n 5 --emit perms --format csv",
+     "fdd3f0d96ff4e71185667e424c7912b8adf870c1e00066d07d46ebc8e7db4c40"),
+    ("enumerate --n 5 --emit perms --format text",
+     "d74de76154a8050ab6896789778c23f688323b8669061a87172ce7c951453869"),
+    ("enumerate --n 5 --emit codes --format csv",
+     "aa6bab830a17a02b4550eb2d2020ea3b0a97b2c16dfed6ef7c6e312110dccf66"),
+    ("enumerate --n 5 --emit codes --format text",
+     "e19df263df6b17b7cda43da5e4db5fdeb0bf0bbf3490754b91c47dfb983cb309"),
+    ("enumerate --n 5 --emit stats --format csv",
+     "93f2a49b71914412dbe308f4490ba948a44e74bd2f25e6b44d370b6d57ccc10c"),
+    ("enumerate --n 5 --emit stats --format text",
+     "b2a85ba41bcdcd38a8fb9d44a05667d128f87c15b66b0bcd0fc44cab041e5c68"),
+    ("enumerate --n 1 --emit stats --format csv",
+     "0555a930eb020f5847632c355c17af12c68c3c23783cd70427683c42bb6ddbc5"),
+    ("sample --n 12 --count 5 --seed 7 --format csv",
+     "89c0ae03d99602f92aa8eef8d41e4edfca36478a5f1adf7ceaf9072152e59355"),
+    ("sample --n 12 --count 5 --seed 7 --format text",
+     "c5083ad0a0686b36cde93bb4ffce6e3f52ec046005b474ba2a4667da2b7d2dfe"),
+    ("stats --n 40 --samples 2000 --seed 5 --stat leaves --format csv",
+     "9cb8c9a0d44cec1b7e7b53d7a972f8d81756210b93ee6e74f2ac0f9408e08c26"),
+    ("stats --n 200 --samples 2000 --seed 5 --stat dcov --format csv",
+     "48df3fce809dff4ead5b06ab362b937fb9e174918678e9cfc654bd5e74e04b2e"),
+    ("stats --n 40 --samples 2000 --seed 5 --stat gamma --format text",
+     "2c49d4d64fe99c229b2722cc5faccefa8a77e17f42e62904ffcb53b834737343"),
+    ("theory --stat dcov --n 100 --k 3 --format csv",
+     "0f97d7813e533d5b19dcb59a6c5982b423636be3d4360bf4846d6e8d4d742d10"),
+    ("theory --stat leaves --n 100 --k 7 --format text",
+     "d6713d9bb1bc0cf70a3191fa274d22dc8ab9e78dd42b25f72ceb105f1c56309e"),
+    ("verify --max-n 6 --format text",
+     "0ca4694fe8e6901e8f4457a4a0277afaf581d0a9eaafa94ef519914504b8ac2b"),
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    CLI_GOLDEN + CLI_PROJECTIONS,
+    ids=[c[0].split()[0] for c in CLI_GOLDEN] + [c[0] for c in CLI_PROJECTIONS],
+)
 def test_cli_stdout_digest(case, capsys):
     argv, digest = case
     assert main(argv.split()) == 0
