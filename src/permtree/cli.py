@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Subcommands: count, enumerate, sample, stats, theory, verify.  JSON is the
-canonical output format (schema tag "permtree/1"); csv and text are
-projections of the same data, and ``verify`` offers json and text only.
-Sampling subcommands require an explicit seed so every invocation is
-reproducible byte for byte.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+canonical output format (schema tag "permtree/1").  Each subcommand builds
+its JSON document, a csv table and text lines from the same data, and one
+writer, :func:`_write`, prints the projection ``--format`` names; ``verify``
+offers json and text only.  Sampling subcommands require an explicit seed
+so every invocation is reproducible byte for byte.  Exit codes: 0 success,
+1 verification failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from itertools import chain
 
 from . import codec, counting, cover, montecarlo, stats, verify
 from .codec import TreeCode, decode, enumerate_codes, sample_code
@@ -26,22 +27,31 @@ THEORY_STATS = ("gamma", "leaves", "diam", "maxdeg", "ystar", "runs", "dcov")
 _CANONICAL = {entry.cli_name: name for name, entry in montecarlo.REGISTRY.items()}
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _csv(rows, header) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _spaced(values) -> str:
+    return " ".join(map(str, values))
+
+
+def _write(fmt: str, doc, table, lines) -> None:
+    """Print one projection of a result: the only branch on ``--format``.
+
+    ``doc`` is the JSON document, a dict or an already serialised string;
+    ``table`` is ``(header, rows)``; ``rows`` and ``lines`` are iterables,
+    consumed only when their format is asked for.
+    """
+    if fmt == "json":
+        print(doc if isinstance(doc, str) else _json(doc))
+    elif fmt == "csv":
+        header, rows = table
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +60,8 @@ def _csv(rows, header) -> str:
 
 
 def _cmd_count(args) -> int:
+    if args.m is not None and args.what != "forests":
+        raise InvalidConfigError("--m applies to --what forests only")
     if args.what == "trees":
         value = codec.count_trees(args.n)
     elif args.what == "indecomposable":
@@ -58,16 +70,12 @@ def _cmd_count(args) -> int:
         value = counting.forest_count(args.n, args.m)
     else:
         value = counting.forest_total(args.n)
-    payload = {"schema": SCHEMA, "what": args.what, "n": args.n, "count": str(value)}
-    if args.what == "forests" and args.m is not None:
-        payload["m"] = args.m
-    if args.format == "json":
-        _emit(_json(payload))
-    elif args.format == "csv":
-        _emit(_csv([(args.n, args.what, args.m if args.m is not None else "", value)],
-                   ("n", "what", "m", "count")))
-    else:
-        _emit(str(value))
+    doc = {"schema": SCHEMA, "what": args.what, "n": args.n, "count": str(value)}
+    if args.m is not None:
+        doc["m"] = args.m
+    m = "" if args.m is None else args.m
+    _write(args.format, doc, (("n", "what", "m", "count"), [(args.n, args.what, m, value)]),
+           [value])
     return 0
 
 
@@ -95,46 +103,26 @@ def _tree_record(code: TreeCode) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    n = args.n
+    codes = enumerate_codes(args.n)
     if args.emit == "perms":
-        rows = [list(decode(c).values) for c in enumerate_codes(n)]
-        if args.format == "json":
-            _emit(_json({"schema": SCHEMA, "n": n, "perms": rows}))
-        elif args.format == "csv":
-            _emit(_csv([(i, " ".join(map(str, r))) for i, r in enumerate(rows)],
-                       ("index", "perm")))
-        else:
-            for r in rows:
-                _emit(",".join(map(str, r)))
+        perms = [list(decode(c).values) for c in codes]
+        doc = {"perms": perms}
+        table = (("index", "perm"), ((i, _spaced(p)) for i, p in enumerate(perms)))
+        lines = (",".join(map(str, p)) for p in perms)
     elif args.emit == "codes":
-        rows = [format(c.packed, "#x") for c in enumerate_codes(n)]
-        if args.format == "json":
-            _emit(_json({"schema": SCHEMA, "n": n, "codes": rows}))
-        elif args.format == "csv":
-            _emit(_csv(list(enumerate(rows)), ("index", "code")))
-        else:
-            for r in rows:
-                _emit(r)
+        hexes = [format(c.packed, "#x") for c in codes]
+        doc = {"codes": hexes}
+        table = (("index", "code"), enumerate(hexes))
+        lines = hexes
     else:
-        recs = [_tree_record(c) for c in enumerate_codes(n)]
-        if args.format == "json":
-            _emit(_json({"schema": SCHEMA, "n": n, "trees": recs}))
-        elif args.format == "csv":
-            rows = [
-                (
-                    r["code"],
-                    " ".join(map(str, r["perm"])),
-                    r.get("leaves", ""),
-                    r.get("diameter", ""),
-                    r.get("max_degree", ""),
-                    r.get("gamma", ""),
-                )
-                for r in recs
-            ]
-            _emit(_csv(rows, ("code", "perm", "leaves", "diameter", "max_degree", "gamma")))
-        else:
-            for r in recs:
-                _emit(_json(r))
+        recs = [_tree_record(c) for c in codes]
+        doc = {"trees": recs}
+        # a one-letter tree has no stats: its cells stay empty
+        header = ("code", "perm", "leaves", "diameter", "max_degree", "gamma")
+        table = (header, ((r["code"], _spaced(r["perm"]), *(r.get(k, "") for k in header[2:]))
+                          for r in recs))
+        lines = map(_json, recs)
+    _write(args.format, {"schema": SCHEMA, "n": args.n, **doc}, table, lines)
     return 0
 
 
@@ -144,6 +132,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise InvalidConfigError("n must be >= 1")
     if args.count < 0:
         raise InvalidConfigError("count must be >= 0")
     recs = []
@@ -152,14 +142,10 @@ def _cmd_sample(args) -> int:
         code = sample_code(args.n, rng)
         recs.append({"index": i, "code": format(code.packed, "#x"),
                      "perm": list(decode(code).values)})
-    if args.format == "json":
-        _emit(_json({"schema": SCHEMA, "n": args.n, "seed": args.seed, "samples": recs}))
-    elif args.format == "csv":
-        _emit(_csv([(r["index"], r["code"], " ".join(map(str, r["perm"]))) for r in recs],
-                   ("index", "code", "perm")))
-    else:
-        for r in recs:
-            _emit(" ".join(map(str, r["perm"])))
+    doc = {"schema": SCHEMA, "n": args.n, "seed": args.seed, "samples": recs}
+    table = (("index", "code", "perm"),
+             ((r["index"], r["code"], _spaced(r["perm"])) for r in recs))
+    _write(args.format, doc, table, (_spaced(r["perm"]) for r in recs))
     return 0
 
 
@@ -179,20 +165,21 @@ def _cmd_stats(args) -> int:
         workers=args.workers,
     )
     report = montecarlo.run_experiment(config)
-    if args.format == "json":
-        _emit(report.to_json())
-    elif args.format == "csv":
-        rows = report.csv_rows()
-        if rows:
-            _emit(_csv(rows, ("value", "count", "expected")))
-        else:
-            _emit(_csv([(t["name"], t["value"], t["limit"], t["pass"]) for t in report.tests],
-                       ("test", "value", "limit", "pass")))
+    hist = report.empirical.get("histogram")
+    if hist:
+        # expected count n_samples * pmf(value), blank where the law has no value
+        pmf = report.theory.get("pmf", {})
+        total = sum(hist.values())
+        table = (("value", "count", "expected"),
+                 ((int(v), hist[v], "" if pmf.get(v) is None else total * pmf[v])
+                  for v in sorted(hist, key=int)))
     else:
-        for t in report.tests:
-            _emit(f"{t['name']}: value={t['value']:.6g} limit={t['limit']:.6g} "
-                  f"{'pass' if t['pass'] else 'FAIL'}")
-        _emit(f"verdict: {report.verdict}")
+        table = (("test", "value", "limit", "pass"),
+                 ((t["name"], t["value"], t["limit"], t["pass"]) for t in report.tests))
+    lines = chain((f"{t['name']}: value={t['value']:.6g} limit={t['limit']:.6g} "
+                   f"{'pass' if t['pass'] else 'FAIL'}" for t in report.tests),
+                  [f"verdict: {report.verdict}"])
+    _write(args.format, report.to_json(), table, lines)
     return 0 if report.passed else 1
 
 
@@ -235,15 +222,10 @@ def _cmd_theory(args) -> int:
     else:  # dcov
         m = args.k if args.k is not None else 5
         payload = {"cov": [[float(x) for x in row] for row in stats.degree_cov(m)], "m": m}
-    payload.update({"schema": SCHEMA, "stat": name, "n": n})
-    if args.format == "json":
-        _emit(_json(payload))
-    elif args.format == "csv":
-        rows = [(k, v) for k, v in sorted(payload.items()) if k not in ("schema",)]
-        _emit(_csv(rows, ("key", "value")))
-    else:
-        view = {k: v for k, v in payload.items() if k not in ("schema", "stat", "n")}
-        _emit(_json(view))
+    doc = {"schema": SCHEMA, "stat": name, "n": n, **payload}
+    rows = sorted((k, v) for k, v in doc.items() if k != "schema")
+    # text shows only the law's own values
+    _write(args.format, doc, (("key", "value"), rows), map(_json, [payload]))
     return 0
 
 
@@ -254,20 +236,13 @@ def _cmd_theory(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run(args.max_n, args.workers)
-    all_ok = all(r["failures"] == 0 for r in results)
-    payload = {
-        "schema": SCHEMA,
-        "max_n": args.max_n,
-        "checks": [{"name": r["name"], "pass": r["failures"] == 0} for r in results],
-        "verdict": "pass" if all_ok else "fail",
-    }
-    if args.format == "json":
-        _emit(_json(payload))
-    else:
-        for check in payload["checks"]:
-            _emit(f"{'PASS' if check['pass'] else 'FAIL'}  {check['name']}")
-        _emit(f"verdict: {payload['verdict']}")
-    return 0 if all_ok else 1
+    checks = [{"name": r["name"], "pass": r["failures"] == 0} for r in results]
+    verdict = "pass" if all(c["pass"] for c in checks) else "fail"
+    doc = {"schema": SCHEMA, "max_n": args.max_n, "checks": checks, "verdict": verdict}
+    lines = chain((f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}" for c in checks),
+                  [f"verdict: {verdict}"])
+    _write(args.format, doc, None, lines)
+    return 0 if verdict == "pass" else 1
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ from .codec import random_bits
 from .errors import EmptyHistogramError, InvalidConfigError, TooFewSamplesError
 
 SCHEMA = "permtree/1"
-CHUNK = 1024  # fixed slicing policy; results do not depend on it
+CHUNK = 1024  # rows per chunk at n <= 16384; results do not depend on it
+_CHUNK_TOSSES = 1 << 24  # per-chunk toss budget: fewer rows above n = 16384
 
 _SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 56
@@ -163,25 +164,6 @@ class StatReport:
 
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)
-
-    def csv_rows(self) -> list[tuple]:
-        """Histogram projection: rows (value, count, expected)."""
-        hist = self.empirical.get("histogram")
-        if not hist:
-            return []
-        pmf = self.theory.get("pmf", {})
-        total = sum(hist.values())
-        rows = []
-        for value in sorted(hist, key=int):
-            expected = pmf.get(value)
-            rows.append(
-                (
-                    int(value),
-                    hist[value],
-                    total * expected if expected is not None else "",
-                )
-            )
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +305,16 @@ def _compute_chunk(task: tuple) -> dict:
     return REGISTRY[config.statistic].kernel(config, start, count)
 
 
+def _chunk_rows(n: int) -> int:
+    """Samples per chunk: CHUNK, or fewer so that rows * n <= _CHUNK_TOSSES."""
+    return min(CHUNK, max(1, _CHUNK_TOSSES // n))
+
+
 def _gather(config: ExperimentConfig) -> list[dict]:
+    rows = _chunk_rows(config.n)
     tasks = [
-        (config, start, min(CHUNK, config.samples - start))
-        for start in range(0, config.samples, CHUNK)
+        (config, start, min(rows, config.samples - start))
+        for start in range(0, config.samples, rows)
     ]
     if config.workers <= 1 or len(tasks) == 1:
         return [_compute_chunk(t) for t in tasks]

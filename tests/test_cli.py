@@ -1,6 +1,8 @@
 """CLI surface: dispatch, formats, determinism, exit codes."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -148,6 +150,19 @@ def test_stats_text_format(run):
     assert "verdict: pass" in out
 
 
+def test_stats_csv_histogram_rows(run):
+    code, out, _ = run(
+        "stats", "--n", "5", "--samples", "1000", "--seed", "1", "--stat", "leaves", "--format", "csv",
+    )
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["value", "count", "expected"]
+    assert rows and all(len(r) == 3 for r in rows)
+    values = [int(r[0]) for r in rows]
+    assert values == sorted(values)
+    assert sum(int(r[1]) for r in rows) == 1000
+
+
 def test_verify_small(run):
     code, out, _ = run("verify", "--max-n", "7", "--format", "text")
     assert code == 0
@@ -170,6 +185,10 @@ def test_enumerate_cap_exit_2(run):
         ("verify", "--max-n", "6", "--workers", "0"),
         ("sample", "--n", "5", "--count", "-1", "--seed", "1"),
         ("verify", "--max-n", "6", "--format", "csv"),
+        ("sample", "--n", "0", "--count", "0", "--seed", "1"),
+        ("sample", "--n", "-3", "--count", "0", "--seed", "1", "--format", "csv"),
+        ("count", "--what", "trees", "--n", "5", "--m", "3", "--format", "csv"),
+        ("count", "--what", "indecomposable", "--n", "5", "--m", "3"),
     ],
 )
 def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):

@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from permtree import montecarlo
 from permtree.cli import main
 from permtree.montecarlo import CHUNK, ExperimentConfig, run_experiment
 
@@ -91,6 +92,26 @@ def test_golden_configs_span_several_chunks():
 def test_report_digest(case):
     cfg, digest = case
     text = run_experiment(ExperimentConfig(**cfg)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_chunk_rows_follow_the_toss_budget():
+    assert montecarlo._chunk_rows(16384) == CHUNK
+    assert montecarlo._chunk_rows(16385) == CHUNK - 1
+    assert montecarlo._chunk_rows(10**6) == 16
+    assert montecarlo._chunk_rows(1 << 25) == 1
+
+
+@pytest.mark.parametrize("budget, rows", [(1 << 24, CHUNK), (7 * 200, 7)], ids=["1024-rows", "7-rows"])
+@pytest.mark.parametrize("name", ["leaves-n200-s3000", "dcov-n200-s3000"])
+def test_report_digest_does_not_depend_on_the_chunk_budget(name, budget, rows, monkeypatch):
+    cfg, digest = next(c for c in GOLDEN if _id(c) == name)
+    monkeypatch.setattr(montecarlo, "_CHUNK_TOSSES", budget)
+    counts = []
+    compute = montecarlo._compute_chunk
+    monkeypatch.setattr(montecarlo, "_compute_chunk", lambda task: counts.append(task[2]) or compute(task))
+    text = run_experiment(ExperimentConfig(**cfg)).to_json()
+    assert max(counts) == rows and sum(counts) == cfg["samples"]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

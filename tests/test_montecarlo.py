@@ -291,13 +291,3 @@ def test_maxdeg_run_cdf_within_band():
     assert report.theory["cdf_shifted"]["0"] == pytest.approx(math.exp(-2))
     for t in report.tests:
         assert t["value"] <= 0.05
-
-
-def test_report_csv_rows():
-    config = ExperimentConfig(n=5, samples=1000, seed=1, statistic="leaves")
-    report = run_experiment(config)
-    rows = report.csv_rows()
-    assert rows and all(len(r) == 3 for r in rows)
-    values = [r[0] for r in rows]
-    assert values == sorted(values)
-    assert sum(r[1] for r in rows) == 1000
