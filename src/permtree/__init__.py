@@ -2,7 +2,7 @@
 
 Exact construction, counting, enumeration and uniform sampling of
 permutations whose inversion graph is a tree; block-structure shortcuts
-for adjacency, degrees and the caterpillar spine; cover numbers via three
+for the adjacency and the caterpillar spine; cover numbers via three
 independent routes; closed-form statistics; and a seeded Monte Carlo
 harness that checks the distributional claims against simulation.
 """
@@ -15,7 +15,6 @@ from .codec import (
     enumerate_codes,
     enumerate_trees,
     sample_code,
-    sample_tree,
 )
 from .errors import (
     CapExceededError,
@@ -30,26 +29,20 @@ from .perm import (
     build_graph,
     components,
     inversion_count,
-    inversions,
     is_indecomposable,
     is_tree_permutation,
     pattern_flags,
 )
 from .structure import (
-    BlockDecomposition,
-    CentralPath,
     blocks,
     central_path,
-    degree_sequence,
     neighbors_via_blocks,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition",
     "CapExceededError",
-    "CentralPath",
     "EmptyHistogramError",
     "InvalidConfigError",
     "NotATreeError",
@@ -63,16 +56,13 @@ __all__ = [
     "components",
     "count_trees",
     "decode",
-    "degree_sequence",
     "encode",
     "enumerate_codes",
     "enumerate_trees",
     "inversion_count",
-    "inversions",
     "is_indecomposable",
     "is_tree_permutation",
     "neighbors_via_blocks",
     "pattern_flags",
     "sample_code",
-    "sample_tree",
 ]

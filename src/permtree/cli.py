@@ -136,6 +136,7 @@ def _cmd_sample(args) -> int:
         raise InvalidConfigError("n must be >= 1")
     if args.count < 0:
         raise InvalidConfigError("count must be >= 0")
+    montecarlo.check_seed(args.seed)
     recs = []
     for i in range(args.count):
         rng = substream(args.seed, "sample", i)
@@ -191,6 +192,10 @@ def _cmd_stats(args) -> int:
 def _cmd_theory(args) -> int:
     name = args.stat
     n = args.n
+    if args.q is not None and name != "runs":
+        raise InvalidConfigError("--q applies to --stat runs only")
+    if args.k is not None and name in ("gamma", "runs"):
+        raise InvalidConfigError(f"theory --stat {name} takes no --k")
     if name == "gamma":
         th = cover.gamma_theory(n)
         payload = {

@@ -198,7 +198,7 @@ def enumeration_cap() -> int:
     return int(raw)
 
 
-def enumerate_trees(n: int, cap: int | None = None) -> Iterator[Permutation]:
+def enumerate_trees(n: int) -> Iterator[Permutation]:
     """Yield every tree permutation of length ``n`` once, in packed-code order.
 
     Refuses n above the enumeration cap (2^(n-2) outputs grow fast).
@@ -206,14 +206,14 @@ def enumerate_trees(n: int, cap: int | None = None) -> Iterator[Permutation]:
     >>> [p.values for p in enumerate_trees(3)]
     [(3, 1, 2), (2, 3, 1)]
     """
-    return map(decode, enumerate_codes(n, cap))
+    return map(decode, enumerate_codes(n))
 
 
-def enumerate_codes(n: int, cap: int | None = None) -> Iterator[TreeCode]:
+def enumerate_codes(n: int) -> Iterator[TreeCode]:
     """Yield every TreeCode for length ``n`` in packed order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     if n > limit:
         raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
     width = max(n - 2, 0)
@@ -233,20 +233,6 @@ def random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
         raise ValueError("length must be >= 0")
     words = rng.integers(0, 1 << 32, size=(length + 3) // 4, dtype=np.uint32)
     return words.astype("<u4", copy=False).view(np.uint8)[:length] >> 7
-
-
-def sample_tree(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform tree permutation of length ``n`` from n-2 fair bits.
-
-    Uniformity is immediate from the bijection: each of the 2^(n-2) codes
-    is hit with equal probability.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return Permutation([1])
-    bits = random_bits(rng, n - 2)
-    return Permutation(_decode_values(n, bits.tolist()))
 
 
 def sample_code(n: int, rng: np.random.Generator) -> TreeCode:

@@ -113,10 +113,10 @@ def _census_block(n: int, first_letters: tuple[int, ...]) -> tuple[int, int, int
     return total, connected, trees, forests
 
 
-def census(n: int, cap: int = CENSUS_CAP, workers: int = 1) -> CensusTable:
+def census(n: int, workers: int = 1) -> CensusTable:
     """Classify every permutation of S_n by scanning all n! of them.
 
-    Refuses n above ``cap`` (default 9; 9! is about 3.6e5 permutations).
+    Refuses n above ``CENSUS_CAP`` (9; 9! is about 3.6e5 permutations).
     With workers > 1 the scan is partitioned by leading letter and the
     tallies merged by addition, so the result does not depend on the
     worker count.
@@ -126,8 +126,8 @@ def census(n: int, cap: int = CENSUS_CAP, workers: int = 1) -> CensusTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceededError(f"census of S_{n} exceeds cap {cap}")
+    if n > CENSUS_CAP:
+        raise CapExceededError(f"census of S_{n} exceeds cap {CENSUS_CAP}")
     if n == 1:
         return CensusTable(1, 1, 1, 1, {1: 1})
 

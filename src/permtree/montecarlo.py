@@ -66,10 +66,15 @@ def substream(seed: int, domain: int | str, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64), which would alias a valid one as a key word."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise InvalidConfigError("seed must lie in [0, 2**64)")
+
+
 def _key(seed: int, domain: int, index: int) -> np.ndarray:
     """The Philox key of sample ``index`` of ``domain`` under ``seed``."""
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError("seed must lie in [0, 2**64)")
+    check_seed(seed)
     if not 0 <= index < _MAX_INDEX:
         raise ValueError("sample index out of the 56-bit range")
     return np.array([seed, ((domain & 0xFF) << 56) | index], dtype=np.uint64)
@@ -111,8 +116,7 @@ class ExperimentConfig:
         entry = REGISTRY.get(self.statistic)
         if entry is None:
             raise InvalidConfigError(f"unknown statistic {self.statistic!r}")
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise InvalidConfigError("seed must lie in [0, 2**64)")
+        check_seed(self.seed)
         if self.samples < 1:
             raise InvalidConfigError("samples must be >= 1")
         if self.samples > _MAX_INDEX:

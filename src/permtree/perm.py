@@ -98,25 +98,6 @@ class Permutation:
         return f"Permutation({list(self.values)})"
 
 
-def inversions(perm: Permutation) -> list[tuple[int, int]]:
-    """All inversion pairs (w_a, w_b) with a < b and w_a > w_b, in scan order.
-
-    >>> inversions(Permutation([3, 1, 2]))
-    [(3, 1), (3, 2)]
-    >>> inversions(Permutation([1, 2, 3]))
-    []
-    """
-    w = perm.values
-    n = len(w)
-    out = []
-    for a in range(n):
-        wa = w[a]
-        for b in range(a + 1, n):
-            if wa > w[b]:
-                out.append((wa, w[b]))
-    return out
-
-
 def inversion_count(perm: Permutation) -> int:
     """Number of inversions, i.e. the edge count of the inversion graph.
 

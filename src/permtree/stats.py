@@ -423,13 +423,6 @@ def geometric_runs(n: int, q: float) -> Moments:
     return Moments(mean, (n - 1) * v + 2 * (n - 2) * c)
 
 
-def geometric_runs_variance_rate(q: float) -> float:
-    """Per-draw growth rate of the run-count variance."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly between 0 and 1")
-    return 2 * q * (1 - q) ** 2 * (2 + q**2) / ((1 + q) ** 2 * (1 - q**3))
-
-
 # ---------------------------------------------------------------------------
 # Run-length encoding of toss matrices (rows = samples, True = heads)
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
@@ -20,66 +19,30 @@ from .errors import TooSmallError
 from .perm import Permutation
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Maximal runs of same-side positions, by their 1-based start positions.
-
-    ``starts`` holds each block's start, then n + 1, so block t covers the
-    positions ``starts[t] .. starts[t + 1] - 1``.  Blocks alternate sides:
-    block t holds left-to-right maxima exactly when t is even.
-    """
-
-    starts: tuple[int, ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        s = self.starts
-        return tuple(b - a for a, b in zip(s, s[1:]))
-
-    def __len__(self) -> int:
-        return len(self.starts) - 1
-
-
-@dataclass(frozen=True)
-class CentralPath:
-    """Spine of a caterpillar, ordered from the low end to the high end."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def blocks(perm: Permutation) -> BlockDecomposition:
-    """Maximal alternating runs of the left-to-right-maxima flags.
+def blocks(perm: Permutation) -> tuple[int, ...]:
+    """Maximal alternating runs of the left-to-right-maxima flags, by their starts.
 
     The flags are 1, the code, 0 (just 1 for n = 1), so the runs alternate
     maxima, rest, maxima, ..., rest, and within a block the letters
     increase: a block's first and last letters are its smallest and
-    largest.  Raises :class:`NotATreeError` unless ``perm`` is a tree
-    permutation.
+    largest.  Returns each block's 1-based start, then n + 1, so block t
+    covers the positions ``starts[t] .. starts[t + 1] - 1`` and holds
+    left-to-right maxima exactly when t is even.  Raises
+    :class:`NotATreeError` unless ``perm`` is a tree permutation.
 
-    >>> blocks(Permutation([4, 1, 2, 3])).starts
+    >>> blocks(Permutation([4, 1, 2, 3]))
     (1, 2, 5)
-    >>> blocks(Permutation([4, 1, 2, 3])).sizes
-    (1, 3)
     """
     n = perm.n
     flags = [1, *code_flags(perm), 0] if n > 1 else [1]
     changes = compress(range(2, n + 1), map(ne, flags, flags[1:]))
-    return BlockDecomposition((1, *changes, n + 1))
+    return (1, *changes, n + 1)
 
 
 def neighbors_via_blocks(perm: Permutation, pos: int) -> set[int]:
-    """Neighbor set of the letter at ``pos`` computed from blocks alone.
+    """Neighbor set of the letter at ``pos``: its entry of :func:`adjacency_via_blocks`.
 
-    The six cases: a letter that is not the hub of its block pair is a
-    leaf hanging off the adjacent hub; the last letter of a maxima block is
-    adjacent to all of the following block plus the first letter of the
-    block three further on (if any); symmetrically for the first letter of
-    a non-maxima block.  Must equal the inversion-graph adjacency on every
-    tree permutation.  Raises :class:`IndexError` for a position outside
-    1..n.
+    Raises :class:`IndexError` for a position outside 1..n.
 
     >>> w = Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10])
     >>> sorted(neighbors_via_blocks(w, 2))
@@ -103,7 +66,7 @@ def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
     increase left to right, so every list comes out ascending.
     """
     n = perm.n
-    starts = blocks(perm).starts
+    starts = blocks(perm)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     if n == 1:
         return adj
@@ -123,32 +86,6 @@ def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
         adj[tail] = [*rest, w[starts[t + 3] - 1]] if t + 3 < last else list(rest)
         before = [tail]
     return adj
-
-
-def degree_sequence(perm: Permutation) -> tuple[int, ...]:
-    """Degree of the letter at each position, from block sizes only.
-
-    With 2k blocks of sizes b_1, ..., b_2k: inside the i-th pair, all
-    maxima but the last have degree 1, the last maximum has degree
-    b_2i + 1 (one less for the final pair), the first letter of the other
-    block has degree b_{2i-1} + 1 (one less for the first pair), and the
-    remaining letters have degree 1.
-
-    >>> degree_sequence(Permutation([2, 3, 4, 1]))
-    (1, 1, 1, 3)
-    """
-    sizes = blocks(perm).sizes
-    if perm.n == 1:
-        return (0,)
-    k = len(sizes) // 2
-    deg = []
-    for i in range(1, k + 1):
-        b_max, b_rest = sizes[2 * i - 2], sizes[2 * i - 1]
-        deg.extend([1] * (b_max - 1))
-        deg.append(b_rest + 1 - (1 if i == k else 0))
-        deg.append(b_max + 1 - (1 if i == 1 else 0))
-        deg.extend([1] * (b_rest - 1))
-    return tuple(deg)
 
 
 def ordered_spine(adjacency: list[list[int]], n: int, first_letter: int) -> tuple[int, ...]:
@@ -184,7 +121,7 @@ def ordered_spine(adjacency: list[list[int]], n: int, first_letter: int) -> tupl
     return tuple(path)
 
 
-def central_path(perm: Permutation) -> CentralPath:
+def central_path(perm: Permutation) -> tuple[int, ...]:
     """Spine of the caterpillar: the vertices of degree >= 2, path-ordered.
 
     When the largest letter leads the permutation (or the letter 1 ends
@@ -196,13 +133,12 @@ def central_path(perm: Permutation) -> CentralPath:
 
     Rejects n < 3, where the spine is not defined.
 
-    >>> central_path(Permutation([2, 3, 4, 1])).vertices
+    >>> central_path(Permutation([2, 3, 4, 1]))
     (1,)
-    >>> central_path(Permutation([2, 4, 1, 3])).vertices
+    >>> central_path(Permutation([2, 4, 1, 3]))
     (1, 4)
     """
     n = perm.n
     if n < 3:
         raise TooSmallError("central path needs n >= 3")
-    adj = adjacency_via_blocks(perm)
-    return CentralPath(ordered_spine(adj, n, perm.values[0]))
+    return ordered_spine(adjacency_via_blocks(perm), n, perm.values[0])

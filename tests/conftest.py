@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from permtree.codec import decode, sample_code
 from permtree.errors import NotATreeError
 from permtree.perm import Permutation, is_tree_permutation
 
@@ -25,6 +26,11 @@ def naive_inversions(values):
         for b in range(a + 1, n)
         if values[a] > values[b]
     ]
+
+
+def sample_tree(n, rng):
+    """Uniform tree permutation of length n, drawn as `permtree sample` draws it."""
+    return decode(sample_code(n, rng))
 
 
 def naive_edges(values):

@@ -189,6 +189,11 @@ def test_enumerate_cap_exit_2(run):
         ("sample", "--n", "-3", "--count", "0", "--seed", "1", "--format", "csv"),
         ("count", "--what", "trees", "--n", "5", "--m", "3", "--format", "csv"),
         ("count", "--what", "indecomposable", "--n", "5", "--m", "3"),
+        ("sample", "--n", "5", "--count", "0", "--seed", "-1"),
+        ("sample", "--n", "5", "--count", "0", "--seed", str(1 << 64)),
+        ("theory", "--stat", "gamma", "--n", "10", "--k", "3"),
+        ("theory", "--stat", "leaves", "--n", "10", "--q", "0.5"),
+        ("theory", "--stat", "runs", "--n", "10", "--q", "0.5", "--k", "2"),
     ],
 )
 def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):

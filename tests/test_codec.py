@@ -11,12 +11,11 @@ from permtree.codec import (
     decode,
     encode,
     enumerate_trees,
-    sample_tree,
 )
 from permtree.errors import CapExceededError, NotATreeError
 from permtree.perm import Permutation, build_graph, is_tree_permutation
 
-from conftest import insert_first_kind, insert_second_kind, naive_is_tree
+from conftest import insert_first_kind, insert_second_kind, naive_is_tree, sample_tree
 
 
 def test_treecode_validation_and_packing():
@@ -180,8 +179,6 @@ def test_enumerate_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         list(enumerate_trees(6))
     assert len(list(enumerate_trees(5))) == 8
-    # explicit cap argument wins over the environment
-    assert len(list(enumerate_trees(6, cap=10))) == 16
 
 
 def test_sample_tree_trivial_and_deterministic():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from permtree import verify
+from permtree import counting, verify
 from permtree.codec import count_trees
 from permtree.counting import (
     census,
@@ -67,11 +67,12 @@ def test_census_n1():
     assert table.total == 1 and table.trees == 1
 
 
-def test_census_cap():
+def test_census_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         census(10)
+    monkeypatch.setattr(counting, "CENSUS_CAP", 6)
     with pytest.raises(CapExceededError):
-        census(7, cap=6)
+        census(7)
 
 
 def test_census_workers_equivalent():

@@ -15,7 +15,6 @@ from permtree.codec import (
     encode,
     enumerate_codes,
     enumerate_trees,
-    sample_tree,
 )
 from permtree.cover import (
     batch_gamma,
@@ -32,7 +31,7 @@ from permtree.perm import Permutation, build_graph
 from permtree.stats import CoinSequence, coin_stats
 from permtree.structure import adjacency_via_blocks, central_path
 
-from conftest import edge_list, marking_brute, min_cover_brute, naive_edges
+from conftest import edge_list, marking_brute, min_cover_brute, naive_edges, sample_tree
 
 
 def path_permutation(n):
@@ -119,7 +118,7 @@ def test_marked_set_meets_every_edge(n):
 def test_first_round_is_endpoints_plus_heavy(n):
     for p in enumerate_trees(n):
         g = build_graph(p)
-        spine = central_path(p).vertices
+        spine = central_path(p)
         expect = {spine[0], spine[-1]} | {
             v for v in range(1, n + 1) if len(g[v]) >= 3
         }

@@ -1,4 +1,4 @@
-"""Keep the docstring examples honest."""
+"""Keep the docstring examples and the public names honest."""
 from __future__ import annotations
 
 import doctest
@@ -20,3 +20,12 @@ MODULES = [
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_public_names_resolve_sorted_and_once():
+    names = permtree.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(permtree, name) for name in names)
+    scope: dict = {}
+    exec("from permtree import *", scope)
+    assert set(names) <= scope.keys()

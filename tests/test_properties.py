@@ -1,8 +1,9 @@
 """Property tests: the exact layer on random codes beyond the exhaustive sizes.
 
 Codes up to n = 10^4 are drawn at random; on each decoded tree the block
-shortcuts must equal the inversion-graph definition, the spine must end
-where the structure lemma says, encode must invert decode, the four cover
+shortcuts must equal the inversion-graph definition, the degree counts
+must couple to the code's block sizes, the spine must end where the
+structure lemma says, encode must invert decode, the four cover
 routes must agree on both adjacencies (and the marking must match its
 definition up to n = 1000), and a swap of two letters must be rejected by
 encode exactly when the inversion graph stops being a tree.  Below the
@@ -21,7 +22,8 @@ from permtree.codec import TreeCode, decode, encode
 from permtree.cover import gamma_code, gamma_formula, marking_algorithm, min_cover_oracle
 from permtree.errors import NotATreeError
 from permtree.perm import Permutation, build_graph, is_tree_permutation
-from permtree.structure import adjacency_via_blocks, central_path, degree_sequence
+from permtree.stats import coupled_tree_stats_equivalence
+from permtree.structure import adjacency_via_blocks, central_path
 
 from conftest import marking_brute, naive_edges
 
@@ -53,14 +55,14 @@ def test_block_shortcuts_equal_the_inversion_graph(code):
     g = build_graph(p)
     assert adjacency_via_blocks(p) == g
     assert g[0] == [] and len(g) == p.n + 1
-    assert degree_sequence(p) == tuple(len(g[v]) for v in p.values)
+    assert coupled_tree_stats_equivalence(code)
 
 
 @PROPERTY
 @given(codes())
 def test_spine_endpoints(code):
     p = decode(code)
-    spine = central_path(p).vertices
+    spine = central_path(p)
     assert spine[0] in (1, p.values[0])
     assert spine[-1] in (p.n, p.values[-1])
 

@@ -28,7 +28,6 @@ from permtree.stats import (
     expected_block_count,
     expected_degree_count,
     geometric_runs,
-    geometric_runs_variance_rate,
     leaves_pmf,
     maxdeg_cdf_approx,
     run_lengths,
@@ -311,7 +310,8 @@ def test_geometric_runs_values():
 def test_geometric_runs_variance_rate_identity():
     for q in (0.1, 0.25, 0.5, 0.9):
         v = geometric_runs(1000, q).variance - geometric_runs(999, q).variance
-        assert v == pytest.approx(geometric_runs_variance_rate(q), rel=1e-9)
+        rate = 2 * q * (1 - q) ** 2 * (2 + q**2) / ((1 + q) ** 2 * (1 - q**3))
+        assert v == pytest.approx(rate, rel=1e-9)
 
 
 def test_geometric_runs_brute_force_small():

@@ -1,4 +1,4 @@
-"""Block structure: bipartition, adjacency lemma, degrees, spine."""
+"""Block structure: bipartition, adjacency lemma, spine."""
 from __future__ import annotations
 
 import pytest
@@ -11,7 +11,6 @@ from permtree.structure import (
     adjacency_via_blocks,
     blocks,
     central_path,
-    degree_sequence,
     neighbors_via_blocks,
     ordered_spine,
 )
@@ -45,28 +44,22 @@ def test_interior_flags_equal_code_bits():
 
 
 def test_blocks_examples():
-    dec = blocks(Permutation([2, 1]))
-    assert dec.starts == (1, 2, 3)
-    assert dec.sizes == (1, 1) and len(dec) == 2
-    dec = blocks(RUNNING_EXAMPLE)
-    assert dec.starts == (1, 3, 5, 8, 12)
-    assert dec.sizes == (2, 2, 3, 4)
-    assert blocks(Permutation([4, 1, 2, 3])).sizes == (1, 3)
-    assert blocks(Permutation([1])).starts == (1, 2)
+    assert blocks(Permutation([2, 1])) == (1, 2, 3)
+    assert blocks(RUNNING_EXAMPLE) == (1, 3, 5, 8, 12)
+    assert blocks(Permutation([4, 1, 2, 3])) == (1, 2, 5)
+    assert blocks(Permutation([1])) == (1, 2)
 
 
 def test_blocks_structure_invariants():
     """Blocks tile 1..n, alternate sides starting on the maxima, and increase inside."""
     for n in range(2, 11):
         for p in enumerate_trees(n):
-            dec = blocks(p)
+            starts = blocks(p)
             flags = bipartition(p).flags
-            starts = dec.starts
-            assert len(dec) % 2 == 0
+            assert len(starts) % 2 == 1
             assert starts[0] == 1 and starts[-1] == n + 1
             assert all(a < b for a, b in zip(starts, starts[1:]))
-            assert sum(dec.sizes) == n
-            for t in range(len(dec)):
+            for t in range(len(starts) - 1):
                 block = range(starts[t], starts[t + 1])
                 # block t lies on the maxima side exactly when t is even
                 assert {flags[pos - 1] for pos in block} == {t % 2 == 0}
@@ -77,7 +70,7 @@ def test_blocks_structure_invariants():
 def test_block_shortcuts_reject_non_trees():
     for values in ([3, 2, 1], [1, 2], [2, 1, 4, 3], [3, 4, 1, 2]):
         p = Permutation(values)
-        for shortcut in (blocks, degree_sequence, adjacency_via_blocks):
+        for shortcut in (blocks, adjacency_via_blocks):
             with pytest.raises(NotATreeError):
                 shortcut(p)
         with pytest.raises(NotATreeError):
@@ -102,23 +95,6 @@ def test_adjacency_lemma_exhaustive(n):
     assert verify.ADJACENCY.at(n, 1) == (count_trees(n), 0)
 
 
-def test_degree_sequence_examples():
-    assert degree_sequence(Permutation([2, 1])) == (1, 1)
-    assert degree_sequence(Permutation([2, 3, 4, 1])) == (1, 1, 1, 3)
-    p = RUNNING_EXAMPLE
-    g = build_graph(p)
-    assert degree_sequence(p) == tuple(len(g[v]) for v in p.values)
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_degree_sequence_matches_graph(n):
-    for p in enumerate_trees(n):
-        g = build_graph(p)
-        seq = degree_sequence(p)
-        assert seq == tuple(len(g[v]) for v in p.values)
-        assert sum(seq) == 2 * (n - 1)
-
-
 def test_degrees_vs_interior_blocks():
     # positions of degree >= 2 are in bijection with the blocks of the
     # interior positions 2..n-1
@@ -128,14 +104,15 @@ def test_degrees_vs_interior_blocks():
             interior_blocks = 1 + sum(
                 1 for a, b in zip(bits, bits[1:]) if a != b
             )
-            heavy = sum(1 for d in degree_sequence(p) if d >= 2)
+            g = build_graph(p)
+            heavy = sum(1 for nbrs in g if len(nbrs) >= 2)
             assert heavy == interior_blocks
 
 
 def test_central_path_examples():
-    assert central_path(Permutation([2, 3, 4, 1])).vertices == (1,)
-    assert central_path(Permutation([2, 3, 1])).vertices == (1,)
-    assert central_path(Permutation([2, 4, 1, 3])).vertices in ((1, 4), (4, 1))
+    assert central_path(Permutation([2, 3, 4, 1])) == (1,)
+    assert central_path(Permutation([2, 3, 1])) == (1,)
+    assert central_path(Permutation([2, 4, 1, 3])) in ((1, 4), (4, 1))
 
 
 def adjacency_of(n, edges):

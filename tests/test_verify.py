@@ -6,10 +6,9 @@ import math
 
 import pytest
 
-from permtree import cli, codec, counting, cover, stats, structure, verify
+from permtree import cli, codec, counting, cover, perm, stats, structure, verify
 from permtree.codec import TreeCode, count_trees
 from permtree.perm import Permutation
-from permtree.structure import CentralPath
 
 # ``permtree verify --max-n 14`` reports these names; its stdout digest pins them
 NAMES_AT_14 = [
@@ -70,12 +69,11 @@ def _one_more_marked(f):
 MUTANTS = [
     (verify.CENSUS, counting, "forest_total", _off_by_one),
     (verify.ROUNDTRIP, codec, "encode", lambda f: lambda p: TreeCode.from_packed(p.n, 0)),
-    (verify.ADJACENCY, structure, "neighbors_via_blocks",
-     lambda f: lambda p, pos: set(sorted(f(p, pos))[1:])),
+    (verify.ADJACENCY, perm, "build_graph", lambda f: lambda p: [nbrs[:-1] for nbrs in f(p)]),
     (verify.ADJACENCY, structure, "adjacency_via_blocks",
      lambda f: lambda p: [nbrs[1:] for nbrs in f(p)]),
     (verify.CATERPILLAR, structure, "central_path",
-     lambda f: lambda p: CentralPath(tuple(sorted(f(p).vertices)))),
+     lambda f: lambda p: tuple(sorted(f(p)))),
     (verify.COVER, cover, "marking_algorithm", _one_more_marked),
     (verify.COVER, cover, "gamma_formula", _off_by_one),
     (verify.COVER, cover, "min_cover_oracle", _off_by_one),
