@@ -133,8 +133,9 @@ CLI_GOLDEN = [
 ]
 
 
-# every csv and text projection; the empty cells of a one-letter tree and
-# both stats tables (histogram for leaves, gates for dcov) included
+# every csv and text projection, and the JSON of each streamed array; the
+# empty cells of a one-letter tree, an empty array and both stats tables
+# (histogram for leaves, gates for dcov) included
 CLI_PROJECTIONS = [
     ("count --what trees --n 10 --format csv",
      "b8bb1b313429b87e788a5543dad39a42ceaa2422ad05f0cb62655cb857052f54"),
@@ -176,6 +177,16 @@ CLI_PROJECTIONS = [
      "d6713d9bb1bc0cf70a3191fa274d22dc8ab9e78dd42b25f72ceb105f1c56309e"),
     ("verify --max-n 6 --format text",
      "0ca4694fe8e6901e8f4457a4a0277afaf581d0a9eaafa94ef519914504b8ac2b"),
+    ("enumerate --n 5 --emit perms",
+     "850d1541991a945b412018f953141b751cd0ab3a0cc6afef4d9b92f0f4814f27"),
+    ("enumerate --n 5 --emit codes",
+     "85359622917afacaeec8c53942be993aa8e5cc2d897885bb98477d8cc4c8a876"),
+    ("enumerate --n 5 --emit stats",
+     "34685520e4e1f912a6a357f031e14f9577994a1f47801f8192e6f5b251ace194"),
+    ("enumerate --n 1 --emit stats",
+     "e0b631e9bd9cf99d5b5d2324fd596a9641d5fc276113e03a928a7940f158df96"),
+    ("sample --n 12 --count 0 --seed 7",
+     "7701bef8ce43e67262bf7344ac33e83406740c3af3066700e59f81085aa76f17"),
 ]
 
 
