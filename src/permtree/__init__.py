@@ -29,6 +29,7 @@ from .perm import (
     build_graph,
     components,
     inversion_count,
+    is_forest,
     is_indecomposable,
     is_tree_permutation,
     pattern_flags,
@@ -60,6 +61,7 @@ __all__ = [
     "enumerate_codes",
     "enumerate_trees",
     "inversion_count",
+    "is_forest",
     "is_indecomposable",
     "is_tree_permutation",
     "neighbors_via_blocks",

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from itertools import chain
 
 from . import codec, counting, cover, montecarlo, stats, verify
@@ -31,6 +32,26 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _json_pieces(doc: dict) -> Iterator[str]:
+    """The text of ``_json(doc)`` and a newline, in pieces.
+
+    A value that is an iterator becomes a JSON array written one element
+    at a time, so a long listing is never held whole.
+    """
+    yield "{"
+    for i, key in enumerate(sorted(doc)):
+        yield f"{', ' if i else ''}{_json(key)}: "
+        value = doc[key]
+        if isinstance(value, Iterator):
+            yield "["
+            for j, item in enumerate(value):
+                yield f"{', ' if j else ''}{_json(item)}"
+            yield "]"
+        else:
+            yield _json(value)
+    yield "}\n"
+
+
 def _spaced(values) -> str:
     return " ".join(map(str, values))
 
@@ -38,12 +59,16 @@ def _spaced(values) -> str:
 def _write(fmt: str, doc, table, lines) -> None:
     """Print one projection of a result: the only branch on ``--format``.
 
-    ``doc`` is the JSON document, a dict or an already serialised string;
-    ``table`` is ``(header, rows)``; ``rows`` and ``lines`` are iterables,
-    consumed only when their format is asked for.
+    ``doc`` is the JSON document, a dict (see :func:`_json_pieces`) or an
+    already serialised string; ``table`` is ``(header, rows)``; ``rows``
+    and ``lines`` are iterables, consumed only when their format is asked
+    for, so all three may read the same one-shot iterator.
     """
     if fmt == "json":
-        print(doc if isinstance(doc, str) else _json(doc))
+        if isinstance(doc, str):
+            print(doc)
+        else:
+            sys.stdout.writelines(_json_pieces(doc))
     elif fmt == "csv":
         header, rows = table
         writer = csv.writer(sys.stdout)
@@ -105,17 +130,17 @@ def _tree_record(code: TreeCode) -> dict:
 def _cmd_enumerate(args) -> int:
     codes = enumerate_codes(args.n)
     if args.emit == "perms":
-        perms = [list(decode(c).values) for c in codes]
+        perms = (list(decode(c).values) for c in codes)
         doc = {"perms": perms}
         table = (("index", "perm"), ((i, _spaced(p)) for i, p in enumerate(perms)))
         lines = (",".join(map(str, p)) for p in perms)
     elif args.emit == "codes":
-        hexes = [format(c.packed, "#x") for c in codes]
+        hexes = (format(c.packed, "#x") for c in codes)
         doc = {"codes": hexes}
         table = (("index", "code"), enumerate(hexes))
         lines = hexes
     else:
-        recs = [_tree_record(c) for c in codes]
+        recs = map(_tree_record, codes)
         doc = {"trees": recs}
         # a one-letter tree has no stats: its cells stay empty
         header = ("code", "perm", "leaves", "diameter", "max_degree", "gamma")
@@ -137,12 +162,12 @@ def _cmd_sample(args) -> int:
     if args.count < 0:
         raise InvalidConfigError("count must be >= 0")
     montecarlo.check_seed(args.seed)
-    recs = []
-    for i in range(args.count):
-        rng = substream(args.seed, "sample", i)
-        code = sample_code(args.n, rng)
-        recs.append({"index": i, "code": format(code.packed, "#x"),
-                     "perm": list(decode(code).values)})
+
+    def record(i: int) -> dict:
+        code = sample_code(args.n, substream(args.seed, "sample", i))
+        return {"index": i, "code": format(code.packed, "#x"), "perm": list(decode(code).values)}
+
+    recs = map(record, range(args.count))
     doc = {"schema": SCHEMA, "n": args.n, "seed": args.seed, "samples": recs}
     table = (("index", "code", "perm"),
              ((r["index"], r["code"], _spaced(r["perm"])) for r in recs))
@@ -225,7 +250,12 @@ def _cmd_theory(args) -> int:
         m = stats.geometric_runs(n, args.q)
         payload = {"mean": m.mean, "variance": m.variance, "q": args.q}
     else:  # dcov
+        # the same size and range as ``stats --stat dcov --m``
         m = args.k if args.k is not None else 5
+        if n < 1:
+            raise InvalidConfigError("n must be >= 1")
+        if not 1 <= m <= 8:
+            raise InvalidConfigError("theory --stat dcov supports 1 <= k <= 8")
         payload = {"cov": [[float(x) for x in row] for row in stats.degree_cov(m)], "m": m}
     doc = {"schema": SCHEMA, "stat": name, "n": n, **payload}
     rows = sorted((k, v) for k, v in doc.items() if k != "schema")

@@ -210,15 +210,17 @@ def enumerate_trees(n: int) -> Iterator[Permutation]:
 
 
 def enumerate_codes(n: int) -> Iterator[TreeCode]:
-    """Yield every TreeCode for length ``n`` in packed order."""
+    """Every TreeCode for length ``n`` in packed order, as an iterator.
+
+    ``n`` and the cap are checked when this is called, not when the
+    iterator is first read, so a refused request yields nothing.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     limit = enumeration_cap()
     if n > limit:
         raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
-    width = max(n - 2, 0)
-    for k in range(1 << width):
-        yield TreeCode.from_packed(n, k)
+    return (TreeCode.from_packed(n, k) for k in range(1 << max(n - 2, 0)))
 
 
 def random_bits(rng: np.random.Generator, length: int) -> np.ndarray:

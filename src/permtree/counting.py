@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations as _lex_permutations
 
 from .errors import CapExceededError
-from .perm import Permutation, components, is_indecomposable, pattern_flags
+from .perm import Permutation, components, is_forest, is_indecomposable
 
 CENSUS_CAP = 9
 
@@ -105,8 +105,7 @@ def _census_block(n: int, first_letters: tuple[int, ...]) -> tuple[int, int, int
             total += 1
             conn = is_indecomposable(p)
             connected += conn
-            has_321, has_3412 = pattern_flags(p)
-            if not has_321 and not has_3412:
+            if is_forest(p):
                 m = len(components(p))
                 forests[m] = forests.get(m, 0) + 1
                 trees += conn

@@ -202,6 +202,52 @@ def components(perm: Permutation) -> list[tuple[int, int]]:
     return out
 
 
+def _has_321(w: tuple[int, ...]) -> bool:
+    """True iff ``w`` contains 321, found in one pass.
+
+    ``w`` avoids 321 exactly when the letters that are not left-to-right
+    maxima increase (Simion & Schmidt 1985).  ``top`` is the running
+    maximum and ``low`` the last letter below it; a letter under ``low``
+    completes a 321 with some earlier maximum above ``low``.
+    """
+    top = low = 0
+    for v in w:
+        if v > top:
+            top = v
+        elif v < low:
+            return True
+        else:
+            low = v
+    return False
+
+
+def _has_3412(w: tuple[int, ...]) -> bool:
+    """True iff ``w`` contains 3412, by an O(n^2) scan."""
+    n = len(w)
+    if n < 4:
+        return False
+    # An occurrence at positions i<j<k<l needs w_k < w_l < w_i < w_j.
+    # best[k] = the largest letter usable as w_i over ascents i<j<k; a
+    # later pair (k, l) with w_k < w_l < best[k] completes the pattern.
+    best = [0] * (n + 1)
+    b = 0
+    for j in range(1, n):
+        cand = 0
+        for i in range(j):
+            if w[i] < w[j] and w[i] > cand:
+                cand = w[i]
+        b = max(b, cand)
+        best[j + 1] = b
+    for k in range(2, n - 1):
+        bk = best[k]
+        if bk <= w[k]:
+            continue
+        for l in range(k + 1, n):
+            if w[k] < w[l] < bk:
+                return True
+    return False
+
+
 def pattern_flags(perm: Permutation) -> tuple[bool, bool]:
     """(has_321, has_3412): containment of the two cycle-forcing patterns.
 
@@ -210,8 +256,8 @@ def pattern_flags(perm: Permutation) -> tuple[bool, bool]:
     permutation iff both flags are False, and a tree permutation iff in
     addition it is indecomposable.
 
-    Both scans are O(n^2); they are validated against the naive
-    subsequence search in the test suite.
+    The 321 scan is O(n) and the 3412 scan O(n^2); both are validated
+    against the naive subsequence search in the test suite.
 
     >>> pattern_flags(Permutation([3, 2, 1]))
     (True, False)
@@ -220,49 +266,20 @@ def pattern_flags(perm: Permutation) -> tuple[bool, bool]:
     >>> pattern_flags(Permutation([1, 2, 3]))
     (False, False)
     """
-    w = perm.values
-    n = len(w)
-    has_321 = False
-    if n >= 3:
-        # w_j is the middle of a 321 iff some earlier letter is larger and
-        # some later letter is smaller.
-        suffix_min = [0] * (n + 1)
-        suffix_min[n] = n + 1
-        for j in range(n - 1, -1, -1):
-            suffix_min[j] = min(suffix_min[j + 1], w[j])
-        prefix_max = 0
-        for j in range(1, n - 1):
-            prefix_max = max(prefix_max, w[j - 1])
-            if prefix_max > w[j] > suffix_min[j + 1]:
-                has_321 = True
-                break
+    return _has_321(perm.values), _has_3412(perm.values)
 
-    has_3412 = False
-    if n >= 4:
-        # An occurrence at positions i<j<k<l needs w_k < w_l < w_i < w_j.
-        # best[k] = the largest letter usable as w_i over ascents i<j<k; a
-        # later pair (k, l) with w_k < w_l < best[k] completes the pattern.
-        best = [0] * (n + 1)
-        b = 0
-        for j in range(1, n):
-            cand = 0
-            for i in range(j):
-                if w[i] < w[j] and w[i] > cand:
-                    cand = w[i]
-            b = max(b, cand)
-            best[j + 1] = b
-        for k in range(2, n - 1):
-            bk = best[k]
-            if bk <= w[k]:
-                continue
-            for l in range(k + 1, n):
-                if w[k] < w[l] < bk:
-                    has_3412 = True
-                    break
-            if has_3412:
-                break
 
-    return has_321, has_3412
+def is_forest(perm: Permutation) -> bool:
+    """True iff the inversion graph is acyclic: no 321 and no 3412.
+
+    The O(n) 321 scan runs first, so the 3412 scan sees only 321-avoiders.
+
+    >>> is_forest(Permutation([2, 1, 4, 3]))
+    True
+    >>> is_forest(Permutation([3, 4, 1, 2]))
+    False
+    """
+    return not _has_321(perm.values) and not _has_3412(perm.values)
 
 
 def is_tree_permutation(perm: Permutation) -> bool:

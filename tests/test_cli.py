@@ -171,8 +171,9 @@ def test_verify_small(run):
 
 
 def test_enumerate_cap_exit_2(run):
-    code, _, err = run("enumerate", "--n", "40")
+    code, out, err = run("enumerate", "--n", "40")
     assert code == 2
+    assert out == ""
     assert "cap" in err
 
 
@@ -194,6 +195,8 @@ def test_enumerate_cap_exit_2(run):
         ("theory", "--stat", "gamma", "--n", "10", "--k", "3"),
         ("theory", "--stat", "leaves", "--n", "10", "--q", "0.5"),
         ("theory", "--stat", "runs", "--n", "10", "--q", "0.5", "--k", "2"),
+        ("theory", "--stat", "dcov", "--n", "-5", "--k", "2"),
+        ("theory", "--stat", "dcov", "--n", "10", "--k", "9"),
     ],
 )
 def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):

@@ -9,6 +9,7 @@ from permtree.perm import (
     build_graph,
     components,
     inversion_count,
+    is_forest,
     is_indecomposable,
     is_tree_permutation,
     pattern_flags,
@@ -167,9 +168,11 @@ def test_pattern_flags_match_naive(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_forest_iff_acyclic(n):
     for vals in all_perms(n):
-        flags = pattern_flags(Permutation(vals))
+        p = Permutation(vals)
+        flags = pattern_flags(p)
         acyclic = graph_is_acyclic(n, naive_edges(vals))
         assert (not flags[0] and not flags[1]) == acyclic
+        assert is_forest(p) == (not any(flags))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -68,6 +68,8 @@ def _one_more_marked(f):
 # (check, module, attribute, mutation of the routine the check calls)
 MUTANTS = [
     (verify.CENSUS, counting, "forest_total", _off_by_one),
+    # a forest test that drops the 3412 half
+    (verify.CENSUS, counting, "is_forest", lambda f: lambda p: not perm.pattern_flags(p)[0]),
     (verify.ROUNDTRIP, codec, "encode", lambda f: lambda p: TreeCode.from_packed(p.n, 0)),
     (verify.ADJACENCY, perm, "build_graph", lambda f: lambda p: [nbrs[:-1] for nbrs in f(p)]),
     (verify.ADJACENCY, structure, "adjacency_via_blocks",
