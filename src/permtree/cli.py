@@ -181,14 +181,20 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    statistic = _CANONICAL[args.stat]
+    params = montecarlo.REGISTRY[statistic].params
+    # an unset --q or --m leaves the config's default
+    given = {name: value for name, value in (("q", args.q), ("m", args.m)) if value is not None}
+    for name in given:
+        if name not in params:
+            raise InvalidConfigError(f"stats --stat {args.stat} takes no --{name}")
     config = ExperimentConfig(
         n=args.n,
         samples=args.samples,
         seed=args.seed,
-        statistic=_CANONICAL[args.stat],
-        q=args.q,
-        m=args.m,
+        statistic=statistic,
         workers=args.workers,
+        **given,
     )
     report = montecarlo.run_experiment(config)
     hist = report.empirical.get("histogram")
@@ -270,7 +276,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run(args.max_n, args.workers)
+    results = verify.run(args.max_n)
     checks = [{"name": r["name"], "pass": r["failures"] == 0} for r in results]
     verdict = "pass" if all(c["pass"] for c in checks) else "fail"
     doc = {"schema": SCHEMA, "max_n": args.max_n, "checks": checks, "verdict": verdict}
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stat", choices=tuple(_CANONICAL), required=True)
     p.add_argument("--q", type=float, default=None, help="geometric parameter (runs)")
-    p.add_argument("--m", type=int, default=5, help="degree-vector size (dcov)")
+    p.add_argument("--m", type=int, default=None, help="degree-vector size (dcov)")
     p.add_argument("--workers", type=int, default=1)
     add_format(p)
     p.set_defaults(func=_cmd_stats)
@@ -337,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exhaustive oracle battery")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     # a verdict per check has no table to project into csv
     add_format(p, ("json", "text"))
     p.set_defaults(func=_cmd_verify)

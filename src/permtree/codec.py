@@ -19,8 +19,7 @@ enumeration walks the packed integers 0 .. 2^(n-2)-1 in order.
 """
 from __future__ import annotations
 
-import json
-import os
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,8 +27,7 @@ import numpy as np
 from .errors import CapExceededError, NotATreeError
 from .perm import Permutation, int_entries
 
-DEFAULT_ENUM_CAP = 30
-ENUM_CAP_ENV = "PERMTREE_ENUM_CAP"
+ENUM_CAP = 30
 # bit values <-> ASCII binary digits, for packing through int(..., 2)
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -50,7 +48,7 @@ class TreeCode:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: Sequence[int]):
-        n = int(n)
+        n = operator.index(n)
         if n < 1:
             raise ValueError("code length parameter n must be >= 1")
         bts = int_entries(bits)
@@ -76,15 +74,6 @@ class TreeCode:
             raise ValueError(f"packed value {value} out of range for n={n}")
         digits = format(value, f"0{width}b")[::-1][:width]
         return cls(n, digits.encode().translate(_FROM_DIGITS))
-
-    def to_json(self) -> str:
-        """Serialise as ``{"n": ..., "code": "0x..."}`` (lowercase hex)."""
-        return json.dumps({"n": self.n, "code": format(self.packed, "#x")})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TreeCode":
-        obj = json.loads(text)
-        return cls.from_packed(int(obj["n"]), int(obj["code"], 16))
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -190,18 +179,10 @@ def count_trees(n: int) -> int:
     return 1 if n <= 2 else 1 << (n - 2)
 
 
-def enumeration_cap() -> int:
-    """Current enumeration cap (env ``PERMTREE_ENUM_CAP`` overrides 30)."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    return int(raw)
-
-
 def enumerate_trees(n: int) -> Iterator[Permutation]:
     """Yield every tree permutation of length ``n`` once, in packed-code order.
 
-    Refuses n above the enumeration cap (2^(n-2) outputs grow fast).
+    Refuses n above ``ENUM_CAP`` (2^(n-2) outputs grow fast).
 
     >>> [p.values for p in enumerate_trees(3)]
     [(3, 1, 2), (2, 3, 1)]
@@ -217,9 +198,8 @@ def enumerate_codes(n: int) -> Iterator[TreeCode]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit = enumeration_cap()
-    if n > limit:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {limit}")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"n={n} exceeds enumeration cap {ENUM_CAP}")
     return (TreeCode.from_packed(n, k) for k in range(1 << max(n - 2, 0)))
 
 

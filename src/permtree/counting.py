@@ -91,34 +91,10 @@ class CensusTable:
         return sum(self.forests_by_m.values())
 
 
-def _census_block(n: int, first_letters: tuple[int, ...]) -> tuple[int, int, int, dict[int, int]]:
-    """Tally the slice of S_n whose leading letter lies in ``first_letters``."""
-    total = 0
-    connected = 0
-    trees = 0
-    forests: dict[int, int] = {}
-    letters = list(range(1, n + 1))
-    for first in first_letters:
-        rest = [v for v in letters if v != first]
-        for tail in _lex_permutations(rest):
-            p = Permutation((first,) + tail)
-            total += 1
-            conn = is_indecomposable(p)
-            connected += conn
-            if is_forest(p):
-                m = len(components(p))
-                forests[m] = forests.get(m, 0) + 1
-                trees += conn
-    return total, connected, trees, forests
-
-
-def census(n: int, workers: int = 1) -> CensusTable:
+def census(n: int) -> CensusTable:
     """Classify every permutation of S_n by scanning all n! of them.
 
     Refuses n above ``CENSUS_CAP`` (9; 9! is about 3.6e5 permutations).
-    With workers > 1 the scan is partitioned by leading letter and the
-    tallies merged by addition, so the result does not depend on the
-    worker count.
 
     >>> census(4).trees
     4
@@ -127,24 +103,15 @@ def census(n: int, workers: int = 1) -> CensusTable:
         raise ValueError("n must be >= 1")
     if n > CENSUS_CAP:
         raise CapExceededError(f"census of S_{n} exceeds cap {CENSUS_CAP}")
-    if n == 1:
-        return CensusTable(1, 1, 1, 1, {1: 1})
-
-    letters = tuple(range(1, n + 1))
-    if workers <= 1 or n < 5:
-        total, connected, trees, forests = _census_block(n, letters)
-    else:
-        import multiprocessing as mp
-
-        nblocks = min(workers, n)
-        blocks = [letters[i::nblocks] for i in range(nblocks)]
-        with mp.Pool(nblocks) as pool:
-            parts = pool.starmap(_census_block, [(n, blk) for blk in blocks])
-        total = sum(p[0] for p in parts)
-        connected = sum(p[1] for p in parts)
-        trees = sum(p[2] for p in parts)
-        forests = {}
-        for part in parts:
-            for m, c in part[3].items():
-                forests[m] = forests.get(m, 0) + c
+    total = connected = trees = 0
+    forests: dict[int, int] = {}
+    for values in _lex_permutations(range(1, n + 1)):
+        p = Permutation(values)
+        total += 1
+        conn = is_indecomposable(p)
+        connected += conn
+        if is_forest(p):
+            m = len(components(p))
+            forests[m] = forests.get(m, 0) + 1
+            trees += conn
     return CensusTable(n, total, connected, trees, forests)

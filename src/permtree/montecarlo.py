@@ -324,7 +324,7 @@ def _gather(config: ExperimentConfig) -> list[dict]:
         return [_compute_chunk(t) for t in tasks]
     import multiprocessing as mp
 
-    with mp.Pool(config.workers) as pool:
+    with mp.Pool(min(config.workers, len(tasks))) as pool:
         return pool.map(_compute_chunk, tasks)
 
 
@@ -341,14 +341,14 @@ def _summed(parts: list[dict], key: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def chi_square(observed: Mapping[int, int], expected: Mapping[int, float], min_expected: float = 5.0) -> tuple[float, int]:
+def chi_square(observed: Mapping[int, int], expected: Mapping[int, float]) -> tuple[float, int]:
     """Pearson statistic and degrees of freedom with small-bin merging.
 
     ``observed`` maps values to counts, ``expected`` maps values to
     probability masses.  Rules: an observation at a value of zero expected
     mass is impossible under the model and makes the statistic infinite;
     otherwise adjacent bins (in value order, over the union of supports)
-    are merged until each carries expected count at least ``min_expected``,
+    are merged until each carries expected count at least 5,
     with a light trailing bin merged backwards.
     """
     total = sum(observed.values())
@@ -364,7 +364,7 @@ def chi_square(observed: Mapping[int, int], expected: Mapping[int, float], min_e
     for v in support:
         obs_acc += observed.get(v, 0)
         exp_acc += total * float(expected.get(v, 0.0))
-        if exp_acc >= min_expected:
+        if exp_acc >= 5:
             merged.append((obs_acc, exp_acc))
             obs_acc = 0
             exp_acc = 0.0

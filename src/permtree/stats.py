@@ -364,19 +364,19 @@ def sigma_entry(i: int, j: int) -> float:
     return -(i + j - 3) / 2.0 ** (i + j + 2)
 
 
-def degree_cov(m: int, tail: int = 64) -> np.ndarray:
+def degree_cov(m: int) -> np.ndarray:
     """m x m limit covariance of (D_1, ..., D_m)/sqrt(n).
 
     The degree vector is the window-count vector pushed through the linear
     map whose first row is all -1 (leaves are n minus everything else) and
     whose remaining rows shift indices by one.  The two infinite sums in
-    the first row/column are truncated ``tail`` terms past m; entries decay
+    the first row/column are truncated 64 terms past m; entries decay
     geometrically, so the truncation error is far below any tolerance used
     in tests (< 1e-15).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    cap = m + tail
+    cap = m + 64
     sig = np.empty((cap, cap))
     for i in range(1, cap + 1):
         for j in range(1, cap + 1):

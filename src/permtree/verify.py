@@ -37,21 +37,21 @@ def _holds(ok: Callable, obj) -> bool:
         return False
 
 
-def _each(objects: str, ok: Callable) -> Callable[[int, int], tuple[int, int]]:
+def _each(objects: str, ok: Callable) -> Callable[[int], tuple[int, int]]:
     """Per-size sweep applying ``ok`` to every object ``codec.<objects>(n)`` yields."""
 
-    def at(n: int, workers: int) -> tuple[int, int]:
+    def at(n: int) -> tuple[int, int]:
         oks = [_holds(ok, x) for x in getattr(codec, objects)(n)]
         return len(oks), oks.count(False)
 
     return at
 
 
-def _census(n: int, workers: int) -> tuple[int, int]:
+def _census(n: int) -> tuple[int, int]:
     """All of S_n classified; one failure when any tally misses its closed form."""
 
     def ok(n: int) -> bool:
-        table = counting.census(n, workers=workers)
+        table = counting.census(n)
         by_m = table.forests_by_m
         return (
             table.total == math.factorial(n)
@@ -94,7 +94,7 @@ def _decomposition_ok(code: codec.TreeCode) -> bool:
     return terms.total == cover.gamma_formula(codec.decode(code))
 
 
-def _laws(n: int, workers: int) -> tuple[int, int]:
+def _laws(n: int) -> tuple[int, int]:
     """Leaf and diameter laws, max degree = 2 + longest tail run, degree coupling.
 
     A failure is a code whose degrees and blocks do not couple, a value of
@@ -132,17 +132,17 @@ class Check:
     label: str
     cap: int  # largest n that ``permtree verify`` sweeps
     min_n: int  # smallest n the claim is stated for
-    at: Callable[[int, int], tuple[int, int]]  # (n, workers) -> (checked, failures)
+    at: Callable[[int], tuple[int, int]]  # n -> (checked, failures)
 
-    def sweep(self, max_n: int, workers: int = 1) -> tuple[int, int]:
+    def sweep(self, max_n: int) -> tuple[int, int]:
         """(objects checked, failed comparisons) over sizes min_n..max_n."""
-        parts = [self.at(n, workers) for n in range(self.min_n, max_n + 1)]
+        parts = [self.at(n) for n in range(self.min_n, max_n + 1)]
         return sum(c for c, _ in parts), sum(f for _, f in parts)
 
-    def run(self, max_n: int, workers: int = 1) -> dict:
+    def run(self, max_n: int) -> dict:
         """The sweep up to ``max_n`` as a timed result record."""
         start = time.perf_counter()
-        checked, failures = self.sweep(max_n, workers)
+        checked, failures = self.sweep(max_n)
         seconds = time.perf_counter() - start
         name = f"{self.label} (n <= {max_n})"
         return {"name": name, "checked": checked, "failures": failures, "seconds": seconds}
@@ -161,10 +161,8 @@ LAWS = Check("exact leaf law and degree coupling", 12, 3, _laws)
 CHECKS = (CENSUS, ROUNDTRIP, ADJACENCY, CATERPILLAR, COVER, DECOMPOSITION, LAWS)
 
 
-def run(max_n: int, workers: int = 1) -> list[dict]:
+def run(max_n: int) -> list[dict]:
     """Every check up to ``min(max_n, cap)``: one result record each, in order."""
     if max_n < MIN_MAX_N:
         raise InvalidConfigError(f"max_n must be >= {MIN_MAX_N}; smaller bounds leave a check empty")
-    if workers < 1:
-        raise InvalidConfigError("workers must be >= 1")
-    return [check.run(min(max_n, check.cap), workers) for check in CHECKS]
+    return [check.run(min(max_n, check.cap)) for check in CHECKS]

@@ -183,7 +183,7 @@ def test_enumerate_cap_exit_2(run):
         ("verify", "--max-n", "0"),
         ("verify", "--max-n", "-5"),
         ("verify", "--max-n", "3"),
-        ("verify", "--max-n", "6", "--workers", "0"),
+        ("verify", "--max-n", "6", "--workers", "1"),
         ("sample", "--n", "5", "--count", "-1", "--seed", "1"),
         ("verify", "--max-n", "6", "--format", "csv"),
         ("sample", "--n", "0", "--count", "0", "--seed", "1"),
@@ -197,6 +197,8 @@ def test_enumerate_cap_exit_2(run):
         ("theory", "--stat", "runs", "--n", "10", "--q", "0.5", "--k", "2"),
         ("theory", "--stat", "dcov", "--n", "-5", "--k", "2"),
         ("theory", "--stat", "dcov", "--n", "10", "--k", "9"),
+        ("stats", "--stat", "gamma", "--n", "50", "--samples", "10", "--seed", "1", "--q", "0.5"),
+        ("stats", "--stat", "gamma", "--n", "50", "--samples", "10", "--seed", "1", "--m", "9"),
     ],
 )
 def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):

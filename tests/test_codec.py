@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from permtree import verify
+from permtree import codec, verify
 from permtree.codec import (
     TreeCode,
     count_trees,
@@ -37,6 +37,11 @@ def test_treecode_validation_and_packing():
     for bad in ([1.9, "0"], [1.0, 0], [1, "0"], [np.float64(1.0), 0]):
         with pytest.raises(TypeError):
             TreeCode(4, bad)
+    # nor is the length
+    for bad_n in (4.9, "4"):
+        with pytest.raises(TypeError):
+            TreeCode(bad_n, (1, 0))
+    assert TreeCode(np.int64(4), (1, 0)).n == 4
     with pytest.raises(ValueError):
         TreeCode.from_packed(4, 4)
     with pytest.raises(ValueError):
@@ -47,18 +52,6 @@ def test_treecode_validation_and_packing():
             code = TreeCode.from_packed(n, value)
             assert code.packed == value
             assert code.bits == tuple((value >> j) & 1 for j in range(n - 2))
-
-
-def test_treecode_json_roundtrip():
-    c = TreeCode(12, tuple(int(b) for b in "1110010101"))
-    text = c.to_json()
-    assert '"n": 12' in text and text.count("0x") == 1
-    assert TreeCode.from_json(text) == c
-    # the documented wire example shape: lowercase hex with explicit n
-    import json
-
-    obj = json.loads(TreeCode.from_packed(12, 0x2A7).to_json())
-    assert obj == {"n": 12, "code": "0x2a7"}
 
 
 def test_insertions_examples():
@@ -116,7 +109,7 @@ def test_encode_rejects_non_tree():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_roundtrip_exhaustive_small(n):
-    assert verify.ROUNDTRIP.at(n, 1) == (count_trees(n), 0)
+    assert verify.ROUNDTRIP.at(n) == (count_trees(n), 0)
 
 
 def test_roundtrip_random_large():
@@ -175,7 +168,7 @@ def test_enumerate_examples():
 def test_enumerate_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         list(enumerate_trees(31))
-    monkeypatch.setenv("PERMTREE_ENUM_CAP", "5")
+    monkeypatch.setattr(codec, "ENUM_CAP", 5)
     with pytest.raises(CapExceededError):
         list(enumerate_trees(6))
     assert len(list(enumerate_trees(5))) == 8

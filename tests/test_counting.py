@@ -53,7 +53,7 @@ def test_forest_count_sums_to_total_big():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_matches_closed_forms(n):
-    assert verify.CENSUS.at(n, 1) == (math.factorial(n), 0)
+    assert verify.CENSUS.at(n) == (math.factorial(n), 0)
 
 
 def test_census_n4_table():
@@ -75,10 +75,6 @@ def test_census_cap(monkeypatch):
         census(7)
 
 
-def test_census_workers_equivalent():
-    assert census(6, workers=2) == census(6, workers=1)
-
-
 def test_census_n9_full_cap():
     """The top of the census range still matches every closed form."""
-    assert verify.CENSUS.at(9, 2) == (math.factorial(9), 0)
+    assert verify.CENSUS.at(9) == (math.factorial(9), 0)

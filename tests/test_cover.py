@@ -103,7 +103,7 @@ def test_min_cover_matches_brute_force(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_triple_agreement_exhaustive(n):
-    assert verify.COVER.at(n, 1) == (count_trees(n), 0)
+    assert verify.COVER.at(n) == (count_trees(n), 0)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -164,7 +164,7 @@ def test_triple_agreement_sampled_medium():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_gamma_decomposition_exhaustive(n):
-    assert verify.DECOMPOSITION.at(n, 1) == (count_trees(n), 0)
+    assert verify.DECOMPOSITION.at(n) == (count_trees(n), 0)
 
 
 def test_gamma_decomposition_star_and_path():

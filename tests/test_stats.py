@@ -129,7 +129,7 @@ def test_window_identity_exhaustive(length):
 @pytest.mark.parametrize("n", range(3, 15))
 def test_coupled_equivalence_exhaustive(n):
     """Degree counts couple to block sizes on every code (a clause of the law check)."""
-    assert verify.LAWS.at(n, 1) == (1 << (n - 2), 0)
+    assert verify.LAWS.at(n) == (1 << (n - 2), 0)
 
 
 def test_coupled_equivalence_spot_large():
@@ -166,7 +166,7 @@ def test_leaves_pmf_sums_to_one(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_exact_leaf_and_diameter_distribution(n):
     """Counts over all trees equal the binomial law exactly (a clause of the law check)."""
-    assert verify.LAWS.at(n, 1) == (1 << (n - 2), 0)
+    assert verify.LAWS.at(n) == (1 << (n - 2), 0)
 
 
 def test_last_letter_leaf_probability_half():
@@ -181,7 +181,7 @@ def test_last_letter_leaf_probability_half():
 @pytest.mark.parametrize("n", range(4, 13))
 def test_maxdeg_exact_distribution_matches_tail_runs(n):
     """Max degree is 2 + longest tail run in distribution (a clause of the law check)."""
-    assert verify.LAWS.at(n, 1) == (1 << (n - 2), 0)
+    assert verify.LAWS.at(n) == (1 << (n - 2), 0)
 
 
 def test_maxdeg_cdf_limits_and_value():

@@ -92,7 +92,7 @@ def test_neighbors_via_blocks_examples():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_adjacency_lemma_exhaustive(n):
-    assert verify.ADJACENCY.at(n, 1) == (count_trees(n), 0)
+    assert verify.ADJACENCY.at(n) == (count_trees(n), 0)
 
 
 def test_degrees_vs_interior_blocks():
@@ -168,4 +168,4 @@ def test_central_path_rejects_small():
 @pytest.mark.parametrize("n", range(3, 13))
 def test_caterpillar_shape_exhaustive(n):
     """Removing leaves yields a path with the stated endpoint membership."""
-    assert verify.CATERPILLAR.at(n, 1) == (count_trees(n), 0)
+    assert verify.CATERPILLAR.at(n) == (count_trees(n), 0)
