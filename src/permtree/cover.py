@@ -284,11 +284,11 @@ def gamma_theory(n: int) -> Moments:
     The mean n/3 is exact up to an O(1) remainder and matches simulation.
     The 13n/50 variance is the conventionally quoted rate; it does not
     survive direct verification.  Exhaustive enumeration over all trees of
-    a given size, large seeded simulations, and the closed-form chain
-    computation all give the rate 2/27 instead -- see
-    :func:`gamma_variance_rate`, which is what the Monte Carlo harness
-    compares against.  This function keeps the quoted pair intact for
-    reference output.
+    a given size and large seeded simulations give the rate 2/27 instead,
+    as does the chain derivation in the docstring of
+    :func:`gamma_variance_rate`, the rate the Monte Carlo harness compares
+    against.  This function keeps the quoted pair intact for reference
+    output.
 
     >>> gamma_theory(300)
     Moments(mean=100.0, variance=78.0)
@@ -313,6 +313,7 @@ def gamma_variance_rate() -> Fraction:
         sigma^2 = var(a) + 2 sum_{l >= 1} cov(a_0, a_l) = 2/9 - 4/27 = 2/27.
 
     The test suite checks this against exhaustive enumeration: the exact
-    variance over all trees of size n equals (2/27) n minus a constant.
+    variance over all trees of size n equals (2/27) n minus a constant,
+    10/81 in the limit.
     """
     return Fraction(2, 27)

@@ -19,15 +19,16 @@ variances of bounded-window counts, the limit covariance of the degree
 vector, and the run statistics of geometric samples) are exercised against
 exhaustive enumeration and seeded simulation by the test suite.
 
-Scalar functions operate on single sequences.  The vectorized route takes
-a boolean matrix of tosses (True = heads, one row per sample):
-:func:`toss_runs` encodes it once into the maximal runs of every row, and
-every coin statistic the Monte Carlo harness needs is a short projection of
-that one encoding (head count, longest tail run, tail-run histogram, window
-counts, degree census, cover number).  The ``batch_*`` functions are the
-same projections taken straight from a toss matrix.  The scalar scans
-(:func:`coin_stats`, :func:`run_lengths`, ``cover.gamma_from_tosses``) are
-independent implementations and serve as the oracles for the projections.
+Tosses are bools, True = heads, throughout: a scalar function takes one
+sequence of them, the vectorized route a boolean matrix with one row per
+sample.  :func:`toss_runs` encodes the matrix once into the maximal runs of
+every row, and every coin statistic the Monte Carlo harness needs is a
+short projection of that one encoding (head count, longest tail run,
+tail-run histogram, window counts, degree census, cover number).  The
+``batch_*`` functions are the same projections taken straight from a toss
+matrix.  The scalar scans (:func:`coin_stats`, :func:`run_lengths`,
+``cover.gamma_from_tosses``) are independent implementations and serve as
+the oracles for the projections.
 """
 from __future__ import annotations
 
@@ -35,15 +36,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .codec import TreeCode, decode
 from .perm import Permutation, build_graph
-
-HEADS = "H"
-TAILS = "T"
 
 
 @dataclass(frozen=True)
@@ -131,47 +129,6 @@ def tree_stats(perm: Permutation) -> TreeStats:
 
 
 @dataclass(frozen=True)
-class CoinSequence:
-    """Outcome of coin flips plus the free opening symbol of the 0-1 coupling.
-
-    ``tosses`` uses 'H'/'T'.  The coupled 0-1 sequence has one more entry
-    than there are tosses: tails repeats the previous symbol (extending the
-    current block), heads flips it (opening a new block).
-    """
-
-    tosses: tuple[str, ...]
-    first_symbol: int = 0
-
-    def __post_init__(self):
-        if any(t not in (HEADS, TAILS) for t in self.tosses):
-            raise ValueError("tosses must be 'H' or 'T'")
-        if self.first_symbol not in (0, 1):
-            raise ValueError("first_symbol must be 0 or 1")
-
-    @classmethod
-    def from_string(cls, text: str, first_symbol: int = 0) -> "CoinSequence":
-        return cls(tuple(text), first_symbol)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "CoinSequence":
-        """Recover the coin sequence whose coupled 0-1 sequence is ``bits``."""
-        b = [int(x) for x in bits]
-        if not b:
-            raise ValueError("need at least one bit")
-        tosses = tuple(HEADS if x != y else TAILS for x, y in zip(b, b[1:]))
-        return cls(tosses, b[0])
-
-    def coupled(self) -> tuple[int, ...]:
-        out = [self.first_symbol]
-        for t in self.tosses:
-            out.append(out[-1] ^ 1 if t == HEADS else out[-1])
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return len(self.tosses)
-
-
-@dataclass(frozen=True)
 class CoinStats:
     """Run statistics of one coin sequence.
 
@@ -200,24 +157,28 @@ def run_lengths(symbols: Iterable) -> list[int]:
     return out
 
 
-def coin_stats(seq: CoinSequence) -> CoinStats:
-    """Direct scan of one sequence; the oracle for the batch kernels.
+def coin_stats(heads: Sequence[bool]) -> CoinStats:
+    """Direct scan of one toss sequence (True = heads); the oracle for the batch kernels.
 
-    >>> cs = coin_stats(CoinSequence.from_string("THHTTHT", 0))
+    A block of the coupled 0-1 sequence ends at each head and at the end,
+    so the block sizes are the gaps between consecutive cuts
+    ``[-1, *head positions, len(heads)]``.
+
+    >>> cs = coin_stats([False, True, True, False, False, True, False])
     >>> cs.block_counts
     {2: 2, 1: 1, 3: 1}
     >>> cs.longest_tail_run
     2
     """
-    blocks = Counter(run_lengths(seq.coupled()))
+    heads_at = [i for i, h in enumerate(heads) if h]
+    cuts = [-1, *heads_at, len(heads)]
+    blocks = Counter(b - a for a, b in zip(cuts, cuts[1:]))
 
-    tosses = seq.tosses
-    heads_at = [i for i, t in enumerate(tosses) if t == HEADS]
     windows: Counter = Counter()
     for a, b in zip(heads_at, heads_at[1:]):
         windows[b - a] += 1
 
-    tails_at = [i for i, t in enumerate(tosses) if t == TAILS]
+    tails_at = [i for i, h in enumerate(heads) if not h]
     gaps: Counter = Counter()
     for a, b in zip(tails_at, tails_at[1:]):
         if b - a >= 2:
@@ -225,8 +186,8 @@ def coin_stats(seq: CoinSequence) -> CoinStats:
 
     longest = 0
     current = 0
-    for t in tosses:
-        current = current + 1 if t == TAILS else 0
+    for h in heads:
+        current = 0 if h else current + 1
         longest = max(longest, current)
 
     return CoinStats(dict(blocks), dict(windows), dict(gaps), longest)

@@ -117,8 +117,8 @@ def _laws(n: int) -> tuple[int, int]:
         failures += Fraction(diameters[k], total) != stats.diameter_pmf(n, k)
     if n >= 4:
         runs = Counter(
-            2 + stats.coin_stats(stats.CoinSequence(tosses, 0)).longest_tail_run
-            for tosses in product("HT", repeat=n - 3)
+            2 + stats.coin_stats(tosses).longest_tail_run
+            for tosses in product((False, True), repeat=n - 3)
         )
         # two codes per toss sequence: the first symbol is free
         failures += max_degrees != Counter({v: 2 * c for v, c in runs.items()})

@@ -154,6 +154,14 @@ def tree_diameter_bfs(n, edges):
     return max(d1.values())
 
 
+def coupled(heads, first=0):
+    """The 0-1 sequence coupled to ``heads``: a head flips the last symbol, a tail repeats it."""
+    out = [first]
+    for h in heads:
+        out.append(out[-1] ^ 1 if h else out[-1])
+    return tuple(out)
+
+
 def min_cover_brute(n, edges):
     """Smallest vertex set meeting every edge, by subset enumeration."""
     verts = list(range(1, n + 1))

@@ -28,7 +28,7 @@ from permtree.cover import (
 )
 from permtree.errors import NotATreeError
 from permtree.perm import Permutation, build_graph
-from permtree.stats import CoinSequence, coin_stats
+from permtree.stats import coin_stats
 from permtree.structure import adjacency_via_blocks, central_path
 
 from conftest import edge_list, marking_brute, min_cover_brute, naive_edges, sample_tree
@@ -203,8 +203,8 @@ def test_gap_windows_distributed_like_shifted_head_windows():
     for length in range(1, 14):
         gap_hist: Counter = Counter()
         win_hist: Counter = Counter()
-        for tosses in product("HT", repeat=length):
-            st = coin_stats(CoinSequence(tosses, 0))
+        for tosses in product((False, True), repeat=length):
+            st = coin_stats(tosses)
             gap_hist[tuple(sorted(st.gap_counts.items()))] += 1
             win_hist[
                 tuple(
@@ -241,13 +241,13 @@ def test_gamma_variance_rate_matches_exhaustive():
         exact_var = Fraction(s2, total) - Fraction(s1, total) ** 2
         remainders.append(rate * n - exact_var)
     diffs = [float(b - a) for a, b in zip(remainders, remainders[1:])]
-    # remainders converge geometrically to a constant near 0.1234
+    # remainders converge geometrically to 10/81
     assert all(abs(d) < 2e-3 for d in diffs)
-    assert abs(float(remainders[-1]) - 0.1234) < 0.01
+    assert abs(remainders[-1] - Fraction(10, 81)) < 1e-4
 
 
 def test_gamma_mean_rate_matches_exhaustive():
-    """Exact mean over all trees of size n is n/3 plus a vanishing remainder."""
+    """Exact mean over all trees of size n is n/3 + 1/9 plus a vanishing remainder."""
     from fractions import Fraction
 
     rems = []
@@ -257,3 +257,4 @@ def test_gamma_mean_rate_matches_exhaustive():
         rems.append(float(mean - Fraction(n, 3)))
     assert all(abs(r) < 0.16 for r in rems)
     assert abs(rems[-1] - rems[-2]) < 2e-3
+    assert abs(rems[-1] - 1 / 9) < 1e-5

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import permtree
+from permtree import montecarlo
 from permtree.cli import build_parser, main
+from permtree.codec import decode, enumerate_codes
+from permtree.cover import min_cover_oracle
 from permtree.errors import (
     EmptyHistogramError,
     InvalidConfigError,
@@ -21,13 +24,15 @@ from permtree.errors import (
 from permtree.montecarlo import (
     CHUNK,
     REGISTRY,
+    WINDOW_K_MAX,
     ExperimentConfig,
-    Tolerances,
+    _key,
     chi_square,
     normality_check,
     run_experiment,
     substream,
 )
+from permtree.stats import coin_stats, tosses_from_codes, tree_stats
 
 
 def test_config_validation():
@@ -45,8 +50,6 @@ def test_config_validation():
         ExperimentConfig(n=3, samples=10, seed=1, statistic="gamma")
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(n=10, samples=10, seed=1, statistic="dcov", m=9)
-    with pytest.raises(InvalidConfigError):
-        Tolerances(z_limit=0.0)
     # names other than the canonical ones are rejected, not aliased
     for name in ("diameter", "degree_census", "runs"):
         with pytest.raises(InvalidConfigError):
@@ -122,6 +125,17 @@ def test_seeds_outside_64_bits_rejected(seed):
         substream(seed, "gamma", 0)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(n=10, samples=10, seed=seed, statistic="leaves")
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.9])
+def test_float_seeds_rejected(seed):
+    # truncated into a key word, 2.9 would draw what the seed 2 draws
+    with pytest.raises(TypeError):
+        ExperimentConfig(n=50, samples=20, seed=seed, statistic="leaves")
+    with pytest.raises(TypeError):
+        substream(seed, 9, 0)
+    with pytest.raises(TypeError):
+        _key(seed, 9, 0)
 
 
 @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
@@ -212,6 +226,43 @@ def test_diam_reflects_leaves():
     assert report.theory["mean"] == (30 + 1) / 2
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_chunk_kernels_match_tree_oracles_on_every_code(n, monkeypatch):
+    """Every code statistic's chunk kernel, fed all codes of size n, against the tree oracles."""
+    codes = list(enumerate_codes(n))
+    heads = tosses_from_codes(np.array([c.bits for c in codes], dtype=np.uint8))
+    monkeypatch.setattr(
+        montecarlo, "_tosses", lambda config, start, count: heads[start : start + count]
+    )
+    trees = [decode(c) for c in codes]
+    tstats = [tree_stats(p) for p in trees]
+    # tree_stats counts the degrees of build_graph's adjacency
+    degrees = np.array([[s.degree_census.get(k) for k in range(1, n + 1)] for s in tstats])
+    windows = np.array(
+        [[coin_stats(row.tolist()).window_counts.get(k, 0) for k in range(1, WINDOW_K_MAX + 1)]
+         for row in heads]
+    )
+
+    def chunk(statistic, **params):
+        config = ExperimentConfig(n=n, samples=len(codes), seed=0, statistic=statistic, **params)
+        return montecarlo._compute_chunk((config, 0, len(codes)))
+
+    assert chunk("leaves")["values"].tolist() == [s.leaves for s in tstats]
+    assert chunk("diam")["values"].tolist() == [s.diameter for s in tstats]
+    assert chunk("maxdeg")["values"].tolist() == [s.max_degree for s in tstats]
+    assert chunk("gamma")["values"].tolist() == [min_cover_oracle(p) for p in trees]
+    census = chunk("dcensus", kmax=n)
+    assert np.array_equal(census["dsum"], degrees.sum(axis=0))
+    assert np.array_equal(census["dsumsq"], (degrees**2).sum(axis=0))
+    assert np.array_equal(census["wsum"], windows.sum(axis=0))
+    assert np.array_equal(census["wsumsq"], (windows**2).sum(axis=0))
+    m = min(n, 8)
+    cov = chunk("dcov", m=m)
+    assert np.array_equal(cov["dsum"], degrees[:, :m].sum(axis=0))
+    assert np.array_equal(cov["dd"], degrees[:, :m].T @ degrees[:, :m])
+    assert np.array_equal(cov["d1"], degrees[:, 0])
+
+
 def test_report_deterministic_and_worker_independent():
     base = dict(n=64, samples=4000, seed=99, statistic="gamma")
     r1 = run_experiment(ExperimentConfig(**base))
@@ -270,13 +321,7 @@ def test_workers_independent_under_spawn():
 
 
 def test_gamma_moderate_run():
-    config = ExperimentConfig(
-        n=1000,
-        samples=20_000,
-        seed=0xC0FFEE,
-        statistic="gamma",
-        tolerances=Tolerances(gamma_mean_abs=0.01, gamma_var_abs=0.02, ks_limit=0.05),
-    )
+    config = ExperimentConfig(n=1000, samples=20_000, seed=0xC0FFEE, statistic="gamma")
     report = run_experiment(config)
     assert abs(report.empirical["mean_over_n"] - 1 / 3) < 0.01
     assert abs(report.empirical["var_over_n"] - 2 / 27) < 0.02

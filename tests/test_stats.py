@@ -13,7 +13,6 @@ from permtree import verify
 from permtree.codec import TreeCode, enumerate_trees
 from permtree.perm import Permutation, build_graph
 from permtree.stats import (
-    CoinSequence,
     DegreeCensus,
     batch_degree_counts,
     batch_head_count,
@@ -37,12 +36,11 @@ from permtree.stats import (
     y_star_moments,
 )
 
-from conftest import edge_list, tree_diameter_bfs
+from conftest import coupled, edge_list, tree_diameter_bfs
 
 
 def all_toss_sequences(length):
-    for combo in product("HT", repeat=length):
-        yield combo
+    return product((False, True), repeat=length)
 
 
 def test_tree_stats_examples():
@@ -69,14 +67,14 @@ def test_diameter_identity_and_bfs(n):
 
 
 def test_coin_sequence_coupling_example():
-    seq = CoinSequence.from_string("THHTTHT", 0)
-    assert "".join(map(str, seq.coupled())) == "00100011"
-    stats = coin_stats(seq)
+    tosses = (False, True, True, False, False, True, False)
+    assert coupled(tosses) == (0, 0, 1, 0, 0, 0, 1, 1)
+    stats = coin_stats(tosses)
     assert stats.block_counts == {2: 2, 1: 1, 3: 1}
     assert stats.longest_tail_run == 2
     assert stats.window_counts == {1: 1, 3: 1}
     # identity: window count = block count minus boundary-block indicators
-    sizes = run_lengths(seq.coupled())
+    sizes = run_lengths(coupled(tosses))
     b_first, b_last = sizes[0], sizes[-1]
     for k in set(stats.block_counts) | set(stats.window_counts):
         expect = (
@@ -87,14 +85,8 @@ def test_coin_sequence_coupling_example():
         assert stats.window_counts.get(k, 0) == expect
 
 
-def test_coin_sequence_roundtrip_from_bits():
-    for bits in product((0, 1), repeat=6):
-        seq = CoinSequence.from_bits(bits)
-        assert seq.coupled() == bits
-
-
 def test_all_tails_single_block():
-    stats = coin_stats(CoinSequence.from_string("TTTTT", 0))
+    stats = coin_stats([False] * 5)
     assert stats.block_counts == {6: 1}
     assert stats.window_counts == {}
     assert stats.longest_tail_run == 5
@@ -109,10 +101,9 @@ def test_window_identity_exhaustive(length):
     one boundary block, subtracted once.
     """
     for tosses in all_toss_sequences(length):
+        st = coin_stats(tosses)
         for first in (0, 1):
-            seq = CoinSequence(tosses, first)
-            st = coin_stats(seq)
-            sizes = run_lengths(seq.coupled())
+            sizes = run_lengths(coupled(tosses, first))
             slack = 0
             for k in range(1, length + 2):
                 boundary = (
@@ -207,7 +198,7 @@ def test_y_star_mean_exact_exhaustive(n):
     for k in range(1, n - 4 + 1):
         total = 0
         for tosses in all_toss_sequences(length):
-            total += coin_stats(CoinSequence(tosses, 0)).window_counts.get(k, 0)
+            total += coin_stats(tosses).window_counts.get(k, 0)
         assert Fraction(total, 1 << length) == Fraction(n - k - 3, 1 << (k + 1))
 
 
@@ -225,7 +216,7 @@ def test_y_star_mean_exact_exhaustive_large(n):
 def _exhaustive_window_variance(n, k):
     length = n - 3
     vals = [
-        coin_stats(CoinSequence(tosses, 0)).window_counts.get(k, 0)
+        coin_stats(tosses).window_counts.get(k, 0)
         for tosses in all_toss_sequences(length)
     ]
     return np.array(vals, dtype=float).var()
@@ -340,15 +331,15 @@ def test_geometric_runs_brute_force_small():
 
 def _matrix(length):
     seqs = list(all_toss_sequences(length))
-    return seqs, np.array([[t == "H" for t in s] for s in seqs], dtype=bool)
+    return seqs, np.array(seqs, dtype=bool)
 
 
 @pytest.mark.parametrize("length", range(1, 11))
 def test_batch_kernels_exhaustive(length):
     seqs, heads = _matrix(length)
-    stats = [coin_stats(CoinSequence(s, 0)) for s in seqs]
+    stats = [coin_stats(s) for s in seqs]
 
-    assert batch_head_count(heads).tolist() == [s.count("H") for s in seqs]
+    assert batch_head_count(heads).tolist() == [sum(s) for s in seqs]
     assert batch_longest_tail_run(heads).tolist() == [
         st.longest_tail_run for st in stats
     ]
@@ -371,7 +362,7 @@ def test_batch_degree_counts_exhaustive(length):
     seqs, heads = _matrix(length)
     got = batch_degree_counts(heads, n, kmax=n)
     for row, tosses in zip(got, seqs):
-        sizes = run_lengths(CoinSequence(tosses, 0).coupled())
+        sizes = run_lengths(coupled(tosses))
         size_counts = Counter(sizes)
         assert row[0] == n - len(sizes)
         for k in range(2, n + 1):
@@ -382,9 +373,8 @@ def test_tosses_from_codes_matches_scalar():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=(40, 12), dtype=np.uint8)
     heads = tosses_from_codes(bits)
-    for row_bits, row_heads in zip(bits, heads):
-        seq = CoinSequence.from_bits(row_bits.tolist())
-        assert [t == "H" for t in seq.tosses] == row_heads.tolist()
+    for row_bits, row_heads in zip(bits.tolist(), heads):
+        assert row_heads.tolist() == [a != b for a, b in zip(row_bits, row_bits[1:])]
 
 
 def test_batch_degree_counts_match_tree_stats():

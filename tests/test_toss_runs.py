@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from permtree import stats
 from permtree.cover import batch_gamma, gamma_from_tosses
-from permtree.stats import CoinSequence, coin_stats, run_lengths, toss_runs
+from permtree.stats import coin_stats, run_lengths, toss_runs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -36,11 +36,6 @@ def toss_matrices(draw, max_width=10_000):
         if fill is not None:
             heads[i] = fill  # an all-heads (path) or all-tails (star) row
     return heads
-
-
-def _scalar(row):
-    tosses = tuple("H" if h else "T" for h in row)
-    return tosses, coin_stats(CoinSequence(tosses, 0))
 
 
 @PROPERTY
@@ -68,8 +63,8 @@ def test_projections_match_scalar_oracles(heads):
     n = width + 3
     degrees = runs.degree_counts(n, cols + 2)
     for i, row in enumerate(heads):
-        tosses, cs = _scalar(row)
-        assert runs.head_count()[i] == tosses.count("H")
+        cs = coin_stats(row.tolist())
+        assert runs.head_count()[i] == row.sum()
         assert runs.longest_tail_run()[i] == cs.longest_tail_run
         assert runs.tail_runs()[i] == sum(c for k, c in cs.block_counts.items() if k >= 2)
         assert tail_hist[i].tolist() == [cs.block_counts.get(r + 1, 0) for r in range(1, cols + 1)]
