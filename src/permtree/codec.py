@@ -48,6 +48,8 @@ class TreeCode:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: Sequence[int]):
+        if isinstance(n, bool):
+            raise TypeError("code length parameter n must be an integer, not a bool")
         n = operator.index(n)
         if n < 1:
             raise ValueError("code length parameter n must be >= 1")

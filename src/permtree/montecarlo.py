@@ -44,8 +44,8 @@ from .codec import random_bits
 from .errors import EmptyHistogramError, InvalidConfigError, TooFewSamplesError
 
 SCHEMA = "permtree/1"
-CHUNK = 1024  # rows per chunk at n <= 16384; results do not depend on it
-_CHUNK_TOSSES = 1 << 24  # per-chunk toss budget: fewer rows above n = 16384
+CHUNK = 1024  # rows per chunk at n <= 512; results do not depend on it
+_CHUNK_TOSSES = 1 << 19  # per-chunk toss budget: fewer rows above n = 512
 
 _SEED_LIMIT = 1 << 64
 _MAX_INDEX = 1 << 56
@@ -82,9 +82,11 @@ def substream(seed: int, domain: int | str, index: int) -> np.random.Generator:
 def check_seed(seed: int) -> None:
     """Reject a seed that would alias a valid one as a key word.
 
-    A non-integer (``TypeError``) would be truncated, a seed outside
-    [0, 2**64) taken modulo 2**64.
+    A non-integer or a bool (``TypeError``) would be truncated or read as
+    0 or 1, a seed outside [0, 2**64) taken modulo 2**64.
     """
+    if isinstance(seed, bool):
+        raise TypeError("seed must be an integer, not a bool")
     if not 0 <= operator.index(seed) < _SEED_LIMIT:
         raise InvalidConfigError("seed must lie in [0, 2**64)")
 
@@ -195,8 +197,8 @@ def _tosses(config: ExperimentConfig, start: int, count: int) -> np.ndarray:
     bits = np.empty((count, config.n - 2), dtype=np.uint8)
     for i, rng in enumerate(_substreams(config, start, count)):
         bits[i] = random_bits(rng, config.n - 2)
-    # no caller keeps the bits or the tosses past their next form: the
-    # chunk's matrices set the process's peak memory
+    # the toss budget bounds the bits, the tosses and their run encoding
+    # (about 5 MB together) whatever n is, up to one row of 2^19 tosses
     return _stats.tosses_from_codes(bits)
 
 

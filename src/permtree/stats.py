@@ -396,12 +396,6 @@ def tosses_from_codes(bits: np.ndarray) -> np.ndarray:
     return bits[:, 1:] != bits[:, :-1]
 
 
-# The encoder takes rows in blocks of about this many tosses, so positions
-# within a block fit in int32 and its temporaries stay O(block) whatever the
-# matrix size.
-_BLOCK_TOSSES = 1 << 20
-
-
 @dataclass(frozen=True)
 class TossRuns:
     """Run-length encoding of a toss matrix (rows = samples, True = heads).
@@ -513,40 +507,30 @@ class TossRuns:
 def toss_runs(heads: np.ndarray) -> TossRuns:
     """Encode every row of a toss matrix into its maximal constant runs.
 
-    Rows are taken in blocks of about ``_BLOCK_TOSSES`` tosses.  A run
-    starts wherever a toss differs from its predecessor and at every row
-    start; its kind follows from the row's first toss by alternation.
+    One pass over the whole matrix: a run starts wherever a toss differs
+    from its predecessor and at every row start; its kind follows from the
+    row's first toss by alternation.  Memory grows linearly with the
+    matrix, so callers bound it: the Monte Carlo harness encodes one chunk
+    at a time.
     """
     rows, width = heads.shape
-    # a row holds at most ``width`` runs; the pages past the last run written
-    # are never touched and the final resize gives them back
-    length = np.empty(rows * width, dtype=np.int32)
-    tail = np.empty(rows * width, dtype=bool)
-    start = np.zeros(rows + 1, dtype=np.int64)
-    used = 0
-    step = max(1, _BLOCK_TOSSES // max(width, 1))
-    for r0 in range(0, rows if width else 0, step):
-        block = heads[r0 : r0 + step]
-        flat = block.reshape(-1)
-        edge = np.empty(flat.size, dtype=bool)
-        np.not_equal(flat[1:], flat[:-1], out=edge[1:])
-        edge[::width] = True
-        starts = np.flatnonzero(edge)
-        end = used + starts.size
-        np.subtract(starts[1:], starts[:-1], out=length[used : end - 1], casting="unsafe")
-        length[end - 1] = flat.size - starts[-1]
-        first = np.searchsorted(starts, np.arange(0, flat.size, width))
-        start[r0 : r0 + block.shape[0]] = used + first
-        # runs alternate within a row: run j of the block is tails iff j is
-        # odd xor the row's phase (it opens with tails xor first[row] is odd)
-        phase = ~block[:, 0] ^ (first & 1).astype(bool)
-        odd = np.zeros(starts.size, dtype=bool)
-        odd[1::2] = True
-        np.bitwise_xor(odd, np.repeat(phase, np.diff(first, append=starts.size)), out=tail[used:end])
-        used = end
-    start[rows] = used
-    length.resize(used, refcheck=False)
-    tail.resize(used, refcheck=False)
+    flat = heads.reshape(-1)
+    if flat.size == 0:  # zero-width rows own no runs
+        return TossRuns(width, np.zeros(0, np.int32), np.zeros(0, bool), np.zeros(rows + 1, np.int64))
+    edge = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:])
+    edge[::width] = True
+    starts = np.flatnonzero(edge)
+    length = np.empty(starts.size, dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=length[:-1], casting="unsafe")
+    length[-1] = flat.size - starts[-1]
+    start = np.searchsorted(starts, np.arange(0, flat.size + 1, width))
+    # run j is tails iff j is odd xor the row's phase (the row opens with
+    # tails xor its first run's index is odd); cheaper than ~flat[starts]
+    phase = ~heads[:, 0] ^ (start[:-1] & 1).astype(bool)
+    tail = np.zeros(starts.size, dtype=bool)
+    tail[1::2] = True
+    tail ^= np.repeat(phase, np.diff(start))
     return TossRuns(width, length, tail, start)
 
 

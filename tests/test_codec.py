@@ -37,8 +37,8 @@ def test_treecode_validation_and_packing():
     for bad in ([1.9, "0"], [1.0, 0], [1, "0"], [np.float64(1.0), 0]):
         with pytest.raises(TypeError):
             TreeCode(4, bad)
-    # nor is the length
-    for bad_n in (4.9, "4"):
+    # nor is the length, and a bool is not read as 0 or 1
+    for bad_n in (4.9, "4", True, False):
         with pytest.raises(TypeError):
             TreeCode(bad_n, (1, 0))
     assert TreeCode(np.int64(4), (1, 0)).n == 4

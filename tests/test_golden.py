@@ -96,10 +96,14 @@ def test_report_digest(case):
 
 
 def test_chunk_rows_follow_the_toss_budget():
-    assert montecarlo._chunk_rows(16384) == CHUNK
-    assert montecarlo._chunk_rows(16385) == CHUNK - 1
-    assert montecarlo._chunk_rows(10**6) == 16
-    assert montecarlo._chunk_rows(1 << 25) == 1
+    budget = montecarlo._CHUNK_TOSSES
+    assert montecarlo._chunk_rows(budget // CHUNK) == CHUNK
+    n = budget // CHUNK + 1  # the smallest size the budget cuts below CHUNK rows
+    rows = montecarlo._chunk_rows(n)
+    assert rows < CHUNK and rows * n <= budget < (rows + 1) * n
+    assert montecarlo._chunk_rows(budget) == 1
+    assert montecarlo._chunk_rows(budget + 1) == 1
+    assert montecarlo._chunk_rows(10_000) == 52  # the acceptance fixtures' size
 
 
 @pytest.mark.parametrize("budget, rows", [(1 << 24, CHUNK), (7 * 200, 7)], ids=["1024-rows", "7-rows"])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,9 +128,10 @@ def test_seeds_outside_64_bits_rejected(seed):
         ExperimentConfig(n=10, samples=10, seed=seed, statistic="leaves")
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.9])
+@pytest.mark.parametrize("seed", [1.5, 2.9, True, False])
 def test_float_seeds_rejected(seed):
-    # truncated into a key word, 2.9 would draw what the seed 2 draws
+    # truncated into a key word, 2.9 would draw what the seed 2 draws, and
+    # True what the seed 1 draws while the report says "seed": true
     with pytest.raises(TypeError):
         ExperimentConfig(n=50, samples=20, seed=seed, statistic="leaves")
     with pytest.raises(TypeError):
@@ -318,6 +320,23 @@ def test_workers_independent_under_spawn():
         [sys.executable, "-c", SPAWN_PROBE], env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.split() == ["True"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(n=10**5, samples=200, statistic="gamma"), dict(n=10**4, samples=1100, statistic="dcensus", kmax=8)],
+    ids=["gamma-n100000", "dcensus-n10000"],
+)
+def test_chunk_memory_stays_bounded(config):
+    # the toss budget bounds a chunk's bits, tosses and run encoding, so the
+    # peak does not grow with n or with the rows a larger budget would allow
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentConfig(seed=0xC0FFEE, **config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_gamma_moderate_run():

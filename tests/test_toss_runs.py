@@ -3,12 +3,10 @@
 Random toss matrices up to 10^4 tosses wide, with forced all-heads and
 all-tails rows, are encoded once; every projection must equal what the
 scalar oracles ``coin_stats``, ``run_lengths`` and ``gamma_from_tosses``
-report row by row, and an encoding made over many small row blocks must be
-identical to the one made in a single block.
+report row by row, and the encodings of row slices, joined, must be the
+encoding of the whole matrix.
 """
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permtree import stats
-from permtree.cover import batch_gamma, gamma_from_tosses
+from permtree.cover import gamma_from_tosses
 from permtree.stats import coin_stats, run_lengths, toss_runs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -75,30 +73,31 @@ def test_projections_match_scalar_oracles(heads):
 
 
 @PROPERTY
-@given(toss_matrices(max_width=3000), st.integers(1, 4))
-def test_encoding_independent_of_row_blocks(heads, rows_per_block):
+@given(toss_matrices(max_width=3000), st.data())
+def test_encoding_joins_over_row_slices(heads, data):
+    width = heads.shape[1]
+    heads = np.vstack([heads, np.ones((1, width), bool), np.zeros((1, width), bool)])
+    cuts = sorted(data.draw(st.lists(st.integers(0, heads.shape[0]), max_size=4)))
+    parts = [toss_runs(heads[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, heads.shape[0]])]
+    offsets = np.cumsum([0] + [p.length.size for p in parts])
+    joined = stats.TossRuns(
+        width,
+        np.concatenate([p.length for p in parts]),
+        np.concatenate([p.tail for p in parts]),
+        np.concatenate([p.start[:-1] + o for p, o in zip(parts, offsets)] + [offsets[-1:]]),
+    )
     whole = toss_runs(heads)
-    budget = rows_per_block * heads.shape[1]
-    with mock.patch.object(stats, "_BLOCK_TOSSES", budget):
-        split = toss_runs(heads)
-        assert np.array_equal(batch_gamma(heads), whole.cover_number())
-    assert np.array_equal(split.length, whole.length)
-    assert np.array_equal(split.tail, whole.tail)
-    assert np.array_equal(split.start, whole.start)
-
-
-def test_chunk_over_many_blocks(monkeypatch):
-    rng = np.random.default_rng(2024)
-    heads = rng.integers(0, 2, size=(300, 997)).astype(bool)
-    heads[7] = True
-    heads[8] = False
-    whole = toss_runs(heads)
-    monkeypatch.setattr(stats, "_BLOCK_TOSSES", 5 * 997 + 3)  # 5 rows per block, 60 blocks
-    split = toss_runs(heads)
     for name in ("length", "tail", "start"):
-        assert np.array_equal(getattr(split, name), getattr(whole, name))
-    assert split.cover_number().tolist() == [gamma_from_tosses(r.tolist()) for r in heads]
-    assert split.longest_tail_run()[7:9].tolist() == [0, 997]
+        assert np.array_equal(getattr(joined, name), getattr(whole, name))
+    cols = min(width, 8)
+    for project in (
+        lambda r: r.cover_number(),
+        lambda r: r.longest_tail_run(),
+        lambda r: r.window_counts(cols),
+        lambda r: r.degree_counts(width + 3, cols),
+    ):
+        assert np.array_equal(np.concatenate([project(p) for p in parts]), project(whole))
+    assert whole.longest_tail_run()[-2:].tolist() == [0, width]
 
 
 def test_zero_width_rows_have_no_runs():
