@@ -20,7 +20,7 @@ from itertools import chain
 from . import codec, counting, cover, montecarlo, stats, verify
 from .codec import TreeCode, decode, enumerate_codes, sample_code
 from .errors import CapExceededError, InvalidConfigError
-from .montecarlo import SCHEMA, ExperimentConfig, substream
+from .montecarlo import SCHEMA, ExperimentConfig, substreams
 
 THEORY_STATS = ("gamma", "leaves", "diam", "maxdeg", "ystar", "runs", "dcov")
 
@@ -163,11 +163,9 @@ def _cmd_sample(args) -> int:
         raise InvalidConfigError("count must be >= 0")
     montecarlo.check_seed(args.seed)
 
-    def record(i: int) -> dict:
-        code = sample_code(args.n, substream(args.seed, "sample", i))
-        return {"index": i, "code": format(code.packed, "#x"), "perm": list(decode(code).values)}
-
-    recs = map(record, range(args.count))
+    codes = (sample_code(args.n, rng) for rng in substreams(args.seed, "sample", 0, args.count))
+    recs = ({"index": i, "code": format(c.packed, "#x"), "perm": list(decode(c).values)}
+            for i, c in enumerate(codes))
     doc = {"schema": SCHEMA, "n": args.n, "seed": args.seed, "samples": recs}
     table = (("index", "code", "perm"),
              ((r["index"], r["code"], _spaced(r["perm"])) for r in recs))

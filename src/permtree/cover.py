@@ -14,11 +14,12 @@ every edge of the tree ("covering set" below).  Three routes:
 3. an exact two-state dynamic program over the tree (per vertex: best
    cover size with the vertex chosen / not chosen).
 
-The three must agree on every tree permutation; the test suite checks
-this exhaustively at small sizes and on large random samples.  On top of
-these, the cover number decomposes into run statistics of the coupled
-coin sequence, which is what makes its distribution tractable and powers
-the vectorized simulation kernel.
+On top of these, the cover number decomposes into run statistics of the
+coupled coin sequence, which is what makes its distribution tractable and
+powers the vectorized simulation kernel; :func:`gamma_code` reads it from
+the code alone, a fourth route.  The four must agree on every tree
+permutation: ``verify.COVER`` checks this exhaustively at small sizes and
+the acceptance tests on large random samples.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .structure import ordered_spine
 class CoverResult:
     chosen: frozenset[int]
     size: int
-    s1: frozenset[int]
 
 
 def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = None) -> CoverResult:
@@ -67,18 +67,15 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     """
     n = perm.n
     if n == 1:
-        return CoverResult(frozenset(), 0, frozenset())
+        return CoverResult(frozenset(), 0)
     adj = build_graph(perm) if adjacency is None else adjacency
     deg = list(map(len, adj))
     partner = list(map(sum, adj))
     marked = [False] * (n + 1)
     chosen: list[int] = []
-    first_round = None
     leaves = [v for v in range(1, n + 1) if deg[v] == 1]
     while True:
         newly = {partner[u] for u in leaves if deg[u] == 1 and deg[partner[u]] >= 2}
-        if first_round is None:
-            first_round = frozenset(newly)
         if not newly:
             break
         chosen += newly
@@ -95,7 +92,7 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
                         leaves.append(u)
     # surviving components are single edges; take the smaller endpoint
     chosen += [v for v in range(1, n + 1) if deg[v] == 1 and v < partner[v]]
-    return CoverResult(frozenset(chosen), len(chosen), first_round)
+    return CoverResult(frozenset(chosen), len(chosen))
 
 
 def gamma_formula(perm: Permutation, adjacency: list[list[int]] | None = None) -> int:

@@ -3,28 +3,28 @@
 Every sample gets its own Philox-4x64 generator keyed counter-style by
 (master seed, tagged sample index): the 128-bit key is the pair
 
-    key = (seed, statistic_domain << 56 | sample_index),
+    key = (seed, domain << 56 | sample_index),
 
 so substreams are pairwise independent by construction, no substream is
 shared between statistics, and sample i's draw does not depend on chunk
-boundaries or worker count.  A chunk builds one generator and re-keys it
-for each of its samples (counter 0, empty buffers), which gives every
-sample the same stream as :func:`substream` at a third of the cost of a
-new ``Philox``.  All aggregation is exact integer arithmetic
-(sums, squared sums, histograms, gathered value vectors in index order),
-so a report is a pure function of its configuration: identical config,
-identical bytes, regardless of parallelism.
+boundaries or worker count.  :func:`substreams` re-keys one generator for
+each sample of a range (counter 0, empty buffers): the stream of
+:func:`substream` at a third of the cost of a new ``Philox``.  That one
+walk serves ``permtree stats``, ``permtree sample`` and the sampled
+cover-number check.  Aggregation is exact integer arithmetic, so a report
+is a pure function of its configuration, whatever the parallelism.
 
 Each statistic is one entry of :data:`REGISTRY`, keyed by its canonical
-name.  The entry carries everything the harness needs to know about it:
-its Philox domain tag, its ``permtree stats --stat`` name, the smallest n
-it accepts, the configuration parameters it reads (and reports), the
-chunk kernel that samples it and the builder that turns the merged chunks
-into a report.  Coin statistics are read from the sampled code bits
-through one run-length encoding per chunk (:func:`permtree.stats.toss_runs`)
-and its projections; every theoretical number placed in a report comes
-from the closed-form operations of :mod:`permtree.stats` and
-:mod:`permtree.cover`.
+name: its Philox domain tag, its ``permtree stats --stat`` name, the
+smallest n it accepts, the configuration parameters it reads (and
+reports), the draw of one row per sample (the n - 2 code bits unless
+stated), the chunk kernel and the builder that turns the merged chunks
+into a report.  :func:`_compute_chunk` walks the streams and stacks the
+rows; a kernel is a pure function of that matrix.  Coin statistics are
+read from the code bits through one run-length encoding per chunk
+(:func:`permtree.stats.toss_runs`) and its projections; every theoretical
+number placed in a report comes from the closed-form operations of
+:mod:`permtree.stats` and :mod:`permtree.cover`.
 """
 from __future__ import annotations
 
@@ -74,9 +74,23 @@ def substream(seed: int, domain: int | str, index: int) -> np.random.Generator:
     A string domain is a statistic's canonical name, resolved to its
     :data:`REGISTRY` tag, or ``"sample"``.
     """
-    if isinstance(domain, str):
-        domain = _SAMPLE_TAG if domain == "sample" else REGISTRY[domain].domain
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
+
+
+def substreams(seed: int, domain: int | str, start: int, count: int):
+    """Generators of samples start .. start+count-1 of ``domain`` under ``seed``.
+
+    Each is ``substream(seed, domain, start + i)`` in stream and state, but
+    all are one generator re-keyed in place: finish drawing from one sample
+    before advancing to the next.
+    """
+    rng = substream(seed, domain, start)
+    bit_generator = rng.bit_generator
+    fresh = bit_generator.state  # counter 0, empty buffers, no spare 32-bit half
+    for index in range(start, start + count):
+        fresh["state"]["key"] = _key(seed, domain, index)
+        bit_generator.state = fresh
+        yield rng
 
 
 def check_seed(seed: int) -> None:
@@ -91,11 +105,13 @@ def check_seed(seed: int) -> None:
         raise InvalidConfigError("seed must lie in [0, 2**64)")
 
 
-def _key(seed: int, domain: int, index: int) -> np.ndarray:
+def _key(seed: int, domain: int | str, index: int) -> np.ndarray:
     """The Philox key of sample ``index`` of ``domain`` under ``seed``."""
     check_seed(seed)
     if not 0 <= index < _MAX_INDEX:
         raise ValueError("sample index out of the 56-bit range")
+    if isinstance(domain, str):
+        domain = _SAMPLE_TAG if domain == "sample" else REGISTRY[domain].domain
     return np.array([seed, ((domain & 0xFF) << 56) | index], dtype=np.uint64)
 
 
@@ -174,60 +190,37 @@ class StatReport:
 # ---------------------------------------------------------------------------
 
 
-def _substreams(config: ExperimentConfig, start: int, count: int):
-    """Generators of samples start .. start+count-1 of the statistic's domain.
-
-    Each is ``substream(config.seed, domain, start + i)`` in stream and
-    state, but all are one generator re-keyed in place: finish drawing from
-    one sample before advancing to the next.
-    """
-    domain = REGISTRY[config.statistic].domain
-    rng = substream(config.seed, domain, start)
-    bit_generator = rng.bit_generator
-    fresh = bit_generator.state  # counter 0, empty buffers, no spare 32-bit half
-    yield rng
-    for index in range(start + 1, start + count):
-        fresh["state"]["key"] = _key(config.seed, domain, index)
-        bit_generator.state = fresh
-        yield rng
+def _code_bits(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+    """One sample's row: the n - 2 bits of a uniform code."""
+    return random_bits(rng, config.n - 2)
 
 
-def _tosses(config: ExperimentConfig, start: int, count: int) -> np.ndarray:
-    """Toss matrix of the chunk's sampled codes, one row per sample."""
-    bits = np.empty((count, config.n - 2), dtype=np.uint8)
-    for i, rng in enumerate(_substreams(config, start, count)):
-        bits[i] = random_bits(rng, config.n - 2)
-    # the toss budget bounds the bits, the tosses and their run encoding
-    # (about 5 MB together) whatever n is, up to one row of 2^19 tosses
-    return _stats.tosses_from_codes(bits)
+def _coin_runs(bits: np.ndarray) -> _stats.TossRuns:
+    return _stats.toss_runs(_stats.tosses_from_codes(bits))
 
 
-def _toss_runs(config: ExperimentConfig, start: int, count: int) -> _stats.TossRuns:
-    return _stats.toss_runs(_tosses(config, start, count))
-
-
-def _diam_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+def _diam_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
     if config.n <= 3:
         # no tosses: the only tree is the path on n vertices
-        return {"values": np.full(count, config.n - 1, dtype=np.int64)}
-    return {"values": _tosses(config, start, count).sum(axis=1, dtype=np.int64) + 2}
+        return {"values": np.full(len(bits), config.n - 1, dtype=np.int64)}
+    return {"values": _stats.tosses_from_codes(bits).sum(axis=1, dtype=np.int64) + 2}
 
 
-def _leaves_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
+def _leaves_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
     # a caterpillar's spine holds its non-leaves: leaves = n + 1 - diameter
-    return {"values": config.n + 1 - _diam_chunk(config, start, count)["values"]}
+    return {"values": config.n + 1 - _diam_chunk(config, bits)["values"]}
 
 
-def _maxdeg_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
-    return {"values": _toss_runs(config, start, count).longest_tail_run() + 2}
+def _maxdeg_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+    return {"values": _coin_runs(bits).longest_tail_run() + 2}
 
 
-def _gamma_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
-    return {"values": _toss_runs(config, start, count).cover_number()}
+def _gamma_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+    return {"values": _coin_runs(bits).cover_number()}
 
 
-def _dcensus_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
-    runs = _toss_runs(config, start, count)
+def _dcensus_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+    runs = _coin_runs(bits)
     counts = runs.degree_counts(config.n, config.kmax)
     windows = runs.window_counts(WINDOW_K_MAX)
     return {
@@ -238,8 +231,8 @@ def _dcensus_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
     }
 
 
-def _dcov_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
-    counts = _toss_runs(config, start, count).degree_counts(config.n, config.m)
+def _dcov_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+    counts = _coin_runs(bits).degree_counts(config.n, config.m)
     return {
         "dsum": counts.sum(axis=0),
         "dd": counts.T @ counts,
@@ -294,18 +287,25 @@ def _geometric(rng: np.random.Generator, q: float, size: int) -> np.ndarray:
     return draws
 
 
-def _runs_geometric_chunk(config: ExperimentConfig, start: int, count: int) -> dict:
-    vals = np.empty(count, dtype=np.int64)
-    for i, rng in enumerate(_substreams(config, start, count)):
-        draws = _geometric(rng, config.q, config.n)
-        vals[i] = 1 + int(np.count_nonzero(draws[1:] != draws[:-1]))
-    return {"values": vals}
+def _runs_geometric_chunk(config: ExperimentConfig, draws: np.ndarray) -> dict:
+    return {"values": 1 + np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1)}
 
 
 def _compute_chunk(task: tuple) -> dict:
-    """Raw per-chunk aggregates; pure function of (config, start, count)."""
+    """Raw per-chunk aggregates; pure function of (config, start, count).
+
+    The one stream walk: the rows of the statistic's ``draw``, one per
+    sample, stacked into the matrix its kernel reads.
+    """
     config, start, count = task
-    return REGISTRY[config.statistic].kernel(config, start, count)
+    entry = REGISTRY[config.statistic]
+    rows = None
+    for i, rng in enumerate(substreams(config.seed, entry.domain, start, count)):
+        row = entry.draw(config, rng)
+        if rows is None:
+            rows = np.empty((count, row.size), dtype=row.dtype)
+        rows[i] = row
+    return entry.kernel(config, rows)
 
 
 def _chunk_rows(n: int) -> int:
@@ -701,9 +701,10 @@ class Statistic:
     cli_name: str  # name of ``permtree stats --stat``
     min_n: int  # smallest n it accepts
     params: tuple[str, ...]  # configuration fields it reads, kept in its report
-    kernel: Callable[[ExperimentConfig, int, int], dict]  # (config, start, count)
+    kernel: Callable[[ExperimentConfig, np.ndarray], dict]  # (config, stacked rows)
     report: Callable[[ExperimentConfig, list[dict]], tuple[dict, dict, list]]
     squares: bool = False  # sums squared per-sample counts in int64
+    draw: Callable[[ExperimentConfig, np.random.Generator], np.ndarray] = _code_bits  # one row
 
 
 # canonical name -> entry, in domain order (also the order of the CLI choices)
@@ -720,7 +721,8 @@ REGISTRY: dict[str, Statistic] = {
     "dcensus": Statistic(4, "dcensus", 4, ("kmax",), _dcensus_chunk, _dcensus_report, squares=True),
     "gamma": Statistic(5, "gamma", 4, (), _gamma_chunk, _gamma_report),
     "dcov": Statistic(6, "dcov", 4, ("m",), _dcov_chunk, _dcov_report, squares=True),
-    "runs_geometric": Statistic(7, "runs", 1, ("q",), _runs_geometric_chunk, _runs_report),
+    "runs_geometric": Statistic(7, "runs", 1, ("q",), _runs_geometric_chunk, _runs_report,
+                                draw=lambda config, rng: _geometric(rng, config.q, config.n)),
 }
 
 

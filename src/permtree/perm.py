@@ -78,10 +78,6 @@ class Permutation:
             raise IndexError(f"position {pos} out of range 1..{len(self.values)}")
         return self.values[pos - 1]
 
-    def position(self, letter: int) -> int:
-        """1-based position of ``letter``."""
-        return self.values.index(letter) + 1
-
     def __len__(self) -> int:
         return len(self.values)
 

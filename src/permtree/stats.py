@@ -134,13 +134,11 @@ class CoinStats:
 
     block_counts[k]   -- blocks of size k in the coupled 0-1 sequence
     window_counts[k]  -- occurrences of H T^(k-1) H in the tosses
-    gap_counts[k]     -- occurrences of T H^(k+1) T in the tosses
     longest_tail_run  -- length of the longest run of tails
     """
 
     block_counts: dict[int, int]
     window_counts: dict[int, int]
-    gap_counts: dict[int, int]
     longest_tail_run: int
 
 
@@ -178,19 +176,13 @@ def coin_stats(heads: Sequence[bool]) -> CoinStats:
     for a, b in zip(heads_at, heads_at[1:]):
         windows[b - a] += 1
 
-    tails_at = [i for i, h in enumerate(heads) if not h]
-    gaps: Counter = Counter()
-    for a, b in zip(tails_at, tails_at[1:]):
-        if b - a >= 2:
-            gaps[b - a - 2] += 1
-
     longest = 0
     current = 0
     for h in heads:
         current = 0 if h else current + 1
         longest = max(longest, current)
 
-    return CoinStats(dict(blocks), dict(windows), dict(gaps), longest)
+    return CoinStats(dict(blocks), dict(windows), longest)
 
 
 def coupled_tree_stats_equivalence(code: TreeCode) -> bool:

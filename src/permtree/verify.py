@@ -84,9 +84,11 @@ def _caterpillar_ok(p: perm.Permutation) -> bool:
     return spine[0] in (1, first) and spine[-1] in (n, last)
 
 
-def _triple_ok(p: perm.Permutation) -> bool:
+def _cover_ok(code: codec.TreeCode) -> bool:
+    """Four routes to the cover number agree: marking, formula, DP and the coin route."""
+    p = codec.decode(code)
     marked = cover.marking_algorithm(p).size
-    return marked == cover.gamma_formula(p) == cover.min_cover_oracle(p)
+    return marked == cover.gamma_formula(p) == cover.min_cover_oracle(p) == cover.gamma_code(code)
 
 
 def _decomposition_ok(code: codec.TreeCode) -> bool:
@@ -154,7 +156,8 @@ ROUNDTRIP = Check(
 )
 ADJACENCY = Check("block adjacency = inversion adjacency", 11, 2, _each(_TREES, _adjacency_ok))
 CATERPILLAR = Check("caterpillar shape and endpoints", 11, 3, _each(_TREES, _caterpillar_ok))
-COVER = Check("cover number triple agreement", 11, 1, _each(_TREES, _triple_ok))
+# the label predates the fourth route, gamma_code; verify's output pins it
+COVER = Check("cover number triple agreement", 11, 1, _each(_CODES, _cover_ok))
 DECOMPOSITION = Check("cover run decomposition identity", 11, 4, _each(_CODES, _decomposition_ok))
 LAWS = Check("exact leaf law and degree coupling", 12, 3, _laws)
 

@@ -67,7 +67,7 @@ def graph_components(n, edges):
 
 
 def marking_brute(n, edges):
-    """Leaf-neighbor marking by its definition: (chosen set, first-round set).
+    """Leaf-neighbor marking by its definition: the chosen set.
 
     Each round searches the components afresh and, in every one with at
     least three vertices, marks the neighbors of its leaves at once; the
@@ -75,20 +75,18 @@ def marking_brute(n, edges):
     the end gives its smaller vertex.
     """
     edges = {tuple(sorted(e)) for e in edges}
-    chosen, first = set(), None
+    chosen = set()
     while True:
         big = set().union(*(c for c in graph_components(n, edges) if len(c) >= 3))
         degree = Counter(v for e in edges for v in e)
         arcs = edges | {(b, a) for a, b in edges}
         newly = {b for a, b in arcs if a in big and degree[a] == 1}
-        if first is None:
-            first = newly
         if not newly:
             break
         chosen |= newly
         edges = {e for e in edges if not newly.intersection(e)}
     chosen |= {min(c) for c in graph_components(n, edges) if len(c) == 2}
-    return chosen, first
+    return chosen
 
 
 def graph_is_connected(n, edges):

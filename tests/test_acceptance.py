@@ -25,7 +25,7 @@ import time
 import pytest
 
 from permtree import verify
-from permtree.codec import TreeCode, _decode_values, count_trees, enumerate_trees, random_bits
+from permtree.codec import count_trees, decode, enumerate_trees, sample_code
 from permtree.counting import census, forest_count, forest_total, indecomposable_count
 from permtree.cover import (
     gamma_code,
@@ -34,8 +34,7 @@ from permtree.cover import (
     marking_algorithm,
     min_cover_oracle,
 )
-from permtree.montecarlo import ExperimentConfig, run_experiment, substream
-from permtree.perm import Permutation
+from permtree.montecarlo import ExperimentConfig, run_experiment, substreams
 from permtree.stats import maxdeg_cdf_approx
 
 from conftest import brute_force_trees
@@ -191,15 +190,14 @@ def _triple_range(args: tuple) -> tuple[int, int]:
     from permtree.structure import adjacency_via_blocks
 
     mism = 0
-    for i in range(start, start + count):
-        bits = random_bits(substream(seed, 9, i), n - 2)
-        blist = bits.tolist()
-        p = Permutation(_decode_values(n, blist))
+    for rng in substreams(seed, 9, start, count):
+        code = sample_code(n, rng)
+        p = decode(code)
         adj = adjacency_via_blocks(p)
         a = marking_algorithm(p, adj).size
         b = gamma_formula(p, adj)
         c = min_cover_oracle(p, adj)
-        d = gamma_code(TreeCode(n, blist))
+        d = gamma_code(code)
         if not (a == b == c == d):
             mism += 1
     return count, mism

@@ -1,8 +1,5 @@
-"""Cover numbers: triple agreement, decomposition, theory."""
+"""Cover numbers: route agreement, decomposition, theory."""
 from __future__ import annotations
-
-from collections import Counter
-from itertools import product
 
 import numpy as np
 import pytest
@@ -28,8 +25,7 @@ from permtree.cover import (
 )
 from permtree.errors import NotATreeError
 from permtree.perm import Permutation, build_graph
-from permtree.stats import coin_stats
-from permtree.structure import adjacency_via_blocks, central_path
+from permtree.structure import adjacency_via_blocks
 
 from conftest import edge_list, marking_brute, min_cover_brute, naive_edges, sample_tree
 
@@ -58,17 +54,17 @@ def test_marking_examples():
 def test_marking_base_cases():
     assert marking_algorithm(Permutation([1])).size == 0
     res = marking_algorithm(Permutation([2, 1]))
-    assert res.chosen == {1} and res.size == 1 and res.s1 == frozenset()
+    assert res.chosen == {1} and res.size == 1
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_marking_matches_definition(n):
-    """Same chosen and first-round sets as the per-round component search."""
+    """Same chosen set as the per-round component search."""
     for p in enumerate_trees(n):
-        chosen, first = marking_brute(n, naive_edges(p.values))
+        chosen = marking_brute(n, naive_edges(p.values))
         for adj in (None, adjacency_via_blocks(p)):
             res = marking_algorithm(p, adj)
-            assert (res.chosen, res.s1, res.size) == (chosen, first, len(chosen))
+            assert (res.chosen, res.size) == (chosen, len(chosen))
 
 
 def test_gamma_formula_examples():
@@ -112,29 +108,6 @@ def test_marked_set_meets_every_edge(n):
         chosen = marking_algorithm(p).chosen
         for u, v in edge_list(build_graph(p)):
             assert u in chosen or v in chosen
-
-
-@pytest.mark.parametrize("n", range(3, 11))
-def test_first_round_is_endpoints_plus_heavy(n):
-    for p in enumerate_trees(n):
-        g = build_graph(p)
-        spine = central_path(p)
-        expect = {spine[0], spine[-1]} | {
-            v for v in range(1, n + 1) if len(g[v]) >= 3
-        }
-        assert marking_algorithm(p).s1 == expect
-
-
-@pytest.mark.parametrize("n", range(4, 12))
-def test_first_round_vs_heavy_block_count(n):
-    """|S1| differs from the number of blocks of size >= 2 by at most 2."""
-    for code in enumerate_codes(n):
-        p = decode(code)
-        s1 = marking_algorithm(p).s1
-        from permtree.stats import run_lengths
-
-        heavy = sum(1 for s in run_lengths(code.bits) if s >= 2)
-        assert abs(len(s1) - heavy) <= 2
 
 
 def test_triple_agreement_with_block_adjacency():
@@ -196,22 +169,6 @@ def test_batch_gamma_matches_formula_exhaustive(n):
             [code.bits[i] != code.bits[i + 1] for i in range(len(code.bits) - 1)]
         )
         assert g == gamma_code(code)
-
-
-def test_gap_windows_distributed_like_shifted_head_windows():
-    """T H^(k+1) T counts have the same distribution as H T^(k+1) H counts."""
-    for length in range(1, 14):
-        gap_hist: Counter = Counter()
-        win_hist: Counter = Counter()
-        for tosses in product((False, True), repeat=length):
-            st = coin_stats(tosses)
-            gap_hist[tuple(sorted(st.gap_counts.items()))] += 1
-            win_hist[
-                tuple(
-                    sorted((k - 2, c) for k, c in st.window_counts.items() if k >= 2)
-                )
-            ] += 1
-        assert gap_hist == win_hist
 
 
 def test_gamma_theory_values():

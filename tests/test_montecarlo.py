@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import permtree
-from permtree import montecarlo
 from permtree.cli import build_parser, main
 from permtree.codec import decode, enumerate_codes
 from permtree.cover import min_cover_oracle
@@ -229,13 +228,11 @@ def test_diam_reflects_leaves():
 
 
 @pytest.mark.parametrize("n", range(4, 13))
-def test_chunk_kernels_match_tree_oracles_on_every_code(n, monkeypatch):
+def test_chunk_kernels_match_tree_oracles_on_every_code(n):
     """Every code statistic's chunk kernel, fed all codes of size n, against the tree oracles."""
     codes = list(enumerate_codes(n))
-    heads = tosses_from_codes(np.array([c.bits for c in codes], dtype=np.uint8))
-    monkeypatch.setattr(
-        montecarlo, "_tosses", lambda config, start, count: heads[start : start + count]
-    )
+    bits = np.array([c.bits for c in codes], dtype=np.uint8)
+    heads = tosses_from_codes(bits)
     trees = [decode(c) for c in codes]
     tstats = [tree_stats(p) for p in trees]
     # tree_stats counts the degrees of build_graph's adjacency
@@ -247,7 +244,7 @@ def test_chunk_kernels_match_tree_oracles_on_every_code(n, monkeypatch):
 
     def chunk(statistic, **params):
         config = ExperimentConfig(n=n, samples=len(codes), seed=0, statistic=statistic, **params)
-        return montecarlo._compute_chunk((config, 0, len(codes)))
+        return REGISTRY[statistic].kernel(config, bits)
 
     assert chunk("leaves")["values"].tolist() == [s.leaves for s in tstats]
     assert chunk("diam")["values"].tolist() == [s.diameter for s in tstats]

