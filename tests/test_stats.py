@@ -155,6 +155,21 @@ def test_leaves_pmf_sums_to_one(n):
     assert sum(diameter_pmf(n, d) for d in range(2, n)) == 1
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_exact_leaf_and_diameter_distribution(n):
+    """Counts over all trees equal the binomial law exactly."""
+    leaf_hist = Counter()
+    diam_hist = Counter()
+    for p in enumerate_trees(n):
+        s = tree_stats(p)
+        leaf_hist[s.leaves] += 1
+        diam_hist[s.diameter] += 1
+    total = 1 << (n - 2)
+    for k in range(2, n):
+        assert Fraction(leaf_hist.get(k, 0), total) == leaves_pmf(n, k)
+        assert Fraction(diam_hist.get(k, 0), total) == diameter_pmf(n, k)
+
+
 def test_last_letter_leaf_probability_half():
     for n in range(3, 11):
         hits = 0
@@ -162,6 +177,18 @@ def test_last_letter_leaf_probability_half():
             g = build_graph(p)
             hits += len(g[p.values[-1]]) == 1
         assert hits * 2 == 1 << (n - 2)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_maxdeg_exact_distribution_matches_tail_runs(n):
+    """Max degree over all codes is 2 + longest tail run over all tosses."""
+    deg_hist = Counter(tree_stats(p).max_degree for p in enumerate_trees(n))
+    run_hist = Counter(
+        2 + coin_stats(tosses).longest_tail_run
+        for tosses in product((False, True), repeat=n - 3)
+    )
+    # codes are twice as many as toss sequences (free first symbol)
+    assert deg_hist == Counter({v: 2 * c for v, c in run_hist.items()})
 
 
 def test_maxdeg_cdf_limits_and_value():
