@@ -41,6 +41,7 @@ from .structure import (
 )
 
 __version__ = "0.1.0"
+SCHEMA = "permtree/1"  # the tag of every JSON document the CLI writes
 
 __all__ = [
     "CapExceededError",

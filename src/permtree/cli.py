@@ -17,15 +17,13 @@ import sys
 from collections.abc import Iterator
 from itertools import chain
 
-from . import codec, counting, cover, montecarlo, stats, verify
+from . import SCHEMA, codec, counting, cover, stats, verify
 from .codec import TreeCode, decode, enumerate_codes, sample_code
 from .errors import CapExceededError, InvalidConfigError
-from .montecarlo import SCHEMA, ExperimentConfig, substreams
 
+# --stat choices, read when the parser is built: no REGISTRY (and numpy) import for them
 THEORY_STATS = ("gamma", "leaves", "diam", "maxdeg", "ystar", "runs", "dcov")
-
-# ``stats --stat`` name -> canonical statistic name
-_CANONICAL = {entry.cli_name: name for name, entry in montecarlo.REGISTRY.items()}
+SAMPLED_STATS = ("leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs")
 
 
 def _json(obj) -> str:
@@ -161,9 +159,11 @@ def _cmd_sample(args) -> int:
         raise InvalidConfigError("n must be >= 1")
     if args.count < 0:
         raise InvalidConfigError("count must be >= 0")
-    montecarlo.check_seed(args.seed)
+    from . import montecarlo
 
-    codes = (sample_code(args.n, rng) for rng in substreams(args.seed, "sample", 0, args.count))
+    montecarlo.check_seed(args.seed)
+    streams = montecarlo.substreams(args.seed, "sample", 0, args.count)
+    codes = (sample_code(args.n, rng) for rng in streams)
     recs = ({"index": i, "code": format(c.packed, "#x"), "perm": list(decode(c).values)}
             for i, c in enumerate(codes))
     doc = {"schema": SCHEMA, "n": args.n, "seed": args.seed, "samples": recs}
@@ -179,14 +179,16 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    statistic = _CANONICAL[args.stat]
+    from . import montecarlo
+
+    statistic = next(name for name, e in montecarlo.REGISTRY.items() if e.cli_name == args.stat)
     params = montecarlo.REGISTRY[statistic].params
     # an unset --q or --m leaves the config's default
     given = {name: value for name, value in (("q", args.q), ("m", args.m)) if value is not None}
     for name in given:
         if name not in params:
             raise InvalidConfigError(f"stats --stat {args.stat} takes no --{name}")
-    config = ExperimentConfig(
+    config = montecarlo.ExperimentConfig(
         n=args.n,
         samples=args.samples,
         seed=args.seed,
@@ -233,11 +235,11 @@ def _cmd_theory(args) -> int:
             "variance_rate_exact": float(cover.gamma_variance_rate()),
         }
     elif name in ("leaves", "diam"):
-        mean, variance = montecarlo.scalar_law_moments(name, n)
+        mean, variance = stats.scalar_law_moments(name, n)
         payload = {"mean": mean, "variance": variance}
         if args.k is not None:
             law = stats.leaves_pmf if name == "leaves" else stats.diameter_pmf
-            at_k = args.k == montecarlo.N2_VALUES[name] if n == 2 else law(n, args.k)
+            at_k = args.k == stats.N2_VALUES[name] if n == 2 else law(n, args.k)
             payload["pmf_at_k"] = float(at_k)
     elif name == "maxdeg":
         if args.k is None:
@@ -254,13 +256,15 @@ def _cmd_theory(args) -> int:
         m = stats.geometric_runs(n, args.q)
         payload = {"mean": m.mean, "variance": m.variance, "q": args.q}
     else:  # dcov
+        from . import montecarlo
+
         # the same size and range as ``stats --stat dcov --m``
         m = args.k if args.k is not None else 5
         if n < 1:
             raise InvalidConfigError("n must be >= 1")
         if not 1 <= m <= 8:
             raise InvalidConfigError("theory --stat dcov supports 1 <= k <= 8")
-        payload = {"cov": [[float(x) for x in row] for row in stats.degree_cov(m)], "m": m}
+        payload = {"cov": [[float(x) for x in row] for row in montecarlo.degree_cov(m)], "m": m}
     doc = {"schema": SCHEMA, "stat": name, "n": n, **payload}
     rows = sorted((k, v) for k, v in doc.items() if k != "schema")
     # text shows only the law's own values
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stat", choices=tuple(_CANONICAL), required=True)
+    p.add_argument("--stat", choices=SAMPLED_STATS, required=True)
     p.add_argument("--q", type=float, default=None, help="geometric parameter (runs)")
     p.add_argument("--m", type=int, default=None, help="degree-vector size (dcov)")
     p.add_argument("--workers", type=int, default=1)

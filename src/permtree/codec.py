@@ -20,12 +20,13 @@ enumeration walks the packed integers 0 .. 2^(n-2)-1 in order.
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CapExceededError, NotATreeError
 from .perm import Permutation, int_entries
+
+if TYPE_CHECKING:  # the caller's generator brings numpy with it
+    import numpy as np
 
 ENUM_CAP = 30
 # bit values <-> ASCII binary digits, for packing through int(..., 2)
@@ -208,15 +209,15 @@ def enumerate_codes(n: int) -> Iterator[TreeCode]:
 def random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
     """Canonical fair-bit draw shared by sampling and the Monte Carlo harness.
 
-    The bits are ``rng.integers(0, 2, length, dtype=np.uint8)``.  numpy
+    The bits are ``rng.integers(0, 2, length, dtype="u1")``.  numpy
     draws those as the top bit of each byte of successive 32-bit words, low
     byte first, and drops the unused bytes of the last word; drawing the
     words whole gives the same bits and leaves ``rng`` in the same state.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    words = rng.integers(0, 1 << 32, size=(length + 3) // 4, dtype=np.uint32)
-    return words.astype("<u4", copy=False).view(np.uint8)[:length] >> 7
+    words = rng.integers(0, 1 << 32, size=(length + 3) // 4, dtype="u4")
+    return words.astype("<u4", copy=False).view("u1")[:length] >> 7
 
 
 def sample_code(n: int, rng: np.random.Generator) -> TreeCode:

@@ -13,10 +13,9 @@ Positions and letters are both 1-based throughout.
 from __future__ import annotations
 
 import operator
+import sys
 from bisect import bisect_right, insort
 from typing import Iterable, Iterator
-
-import numpy as np
 
 
 def int_entries(values: Iterable) -> tuple[int, ...]:
@@ -26,15 +25,16 @@ def int_entries(values: Iterable) -> tuple[int, ...]:
     other entry without ``__index__`` raises :class:`TypeError` instead of
     being truncated or parsed.
 
-    >>> int_entries([2, True, np.uint8(3), np.False_])
-    (2, 1, 3, 0)
+    >>> int_entries([2, True, False])
+    (2, 1, 0)
     """
     vals = tuple(values)
     try:
         return tuple(map(operator.index, vals))
     except TypeError:
-        # numpy bools have no __index__: the one non-int entry that passes
-        return tuple(int(v) if isinstance(v, np.bool_) else operator.index(v) for v in vals)
+        # numpy bools lack __index__; none can exist unless something loaded numpy
+        numpy_bool = getattr(sys.modules.get("numpy"), "bool_", ())
+        return tuple(int(v) if isinstance(v, numpy_bool) else operator.index(v) for v in vals)
 
 
 class Permutation:

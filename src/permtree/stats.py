@@ -15,20 +15,14 @@ turns every tree statistic into a run statistic of n-3 fair coin flips:
 
 The closed forms implemented here (binomial law for leaves and diameter,
 the doubly-exponential approximation for the maximum degree, means and
-variances of bounded-window counts, the limit covariance of the degree
-vector, and the run statistics of geometric samples) are exercised against
-exhaustive enumeration and seeded simulation by the test suite.
+variances of bounded-window counts, their limit covariances, and the run
+statistics of geometric samples) are exercised against exhaustive
+enumeration and seeded simulation by the test suite.
 
-Tosses are bools, True = heads, throughout: a scalar function takes one
-sequence of them, the vectorized route a boolean matrix with one row per
-sample.  :func:`toss_runs` encodes the matrix once into the maximal runs of
-every row, and every coin statistic the Monte Carlo harness needs is a
-short projection of that one encoding (head count, longest tail run,
-tail-run histogram, window counts, degree census, cover number).  The
-``batch_*`` functions are the same projections taken straight from a toss
-matrix.  The scalar scans (:func:`coin_stats`, :func:`run_lengths`,
-``cover.gamma_from_tosses``) are independent implementations and serve as
-the oracles for the projections.
+Tosses are bools, True = heads, throughout.  The scalar scans here
+(:func:`coin_stats`, :func:`run_lengths`, ``cover.gamma_from_tosses``) are
+the oracles for the toss-matrix projections of :mod:`permtree.montecarlo`,
+the one module that imports numpy.
 """
 from __future__ import annotations
 
@@ -36,11 +30,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .codec import TreeCode, decode
+from .errors import InvalidConfigError
 from .perm import Permutation, build_graph
 
 
@@ -229,6 +223,26 @@ def diameter_pmf(n: int, diameter: int) -> Fraction:
     return leaves_pmf(n, n - diameter + 1)
 
 
+# the leaf count and the diameter of the unique tree at n = 2, where the
+# binomial law 2 + Binomial(n - 3, 1/2) does not apply
+N2_VALUES = {"leaves": 2, "diam": 1}
+
+
+def scalar_law_moments(statistic: str, n: int) -> tuple[float, float]:
+    """Exact mean and variance of the leaf count (``"leaves"``) or the diameter (``"diam"``).
+
+    >>> scalar_law_moments("leaves", 11)
+    (6.0, 2.0)
+    >>> scalar_law_moments("diam", 2)
+    (1.0, 0.0)
+    """
+    if n < 2:
+        raise InvalidConfigError(f"{statistic} needs n >= 2")
+    if n == 2:
+        return float(N2_VALUES[statistic]), 0.0
+    return (n + 1) / 2, (n - 3) / 4
+
+
 def maxdeg_cdf_approx(n: int, k: int) -> float:
     """Asymptotic P(max degree - floor(log2(n-3)) < k).
 
@@ -317,35 +331,6 @@ def sigma_entry(i: int, j: int) -> float:
     return -(i + j - 3) / 2.0 ** (i + j + 2)
 
 
-def degree_cov(m: int) -> np.ndarray:
-    """m x m limit covariance of (D_1, ..., D_m)/sqrt(n).
-
-    The degree vector is the window-count vector pushed through the linear
-    map whose first row is all -1 (leaves are n minus everything else) and
-    whose remaining rows shift indices by one.  The two infinite sums in
-    the first row/column are truncated 64 terms past m; entries decay
-    geometrically, so the truncation error is far below any tolerance used
-    in tests (< 1e-15).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    cap = m + 64
-    sig = np.empty((cap, cap))
-    for i in range(1, cap + 1):
-        for j in range(1, cap + 1):
-            sig[i - 1, j - 1] = sigma_entry(i, j)
-    out = np.empty((m, m))
-    out[0, 0] = sig.sum()
-    for c in range(1, m):
-        s = -sig[:, c - 1].sum()
-        out[0, c] = s
-        out[c, 0] = s
-    for r in range(1, m):
-        for c in range(1, m):
-            out[r, c] = sig[r - 1, c - 1]
-    return out
-
-
 def geometric_runs(n: int, q: float) -> Moments:
     """Exact mean and variance of the number of runs in n iid geometric draws.
 
@@ -376,188 +361,9 @@ def geometric_runs(n: int, q: float) -> Moments:
     return Moments(mean, (n - 1) * v + 2 * (n - 2) * c)
 
 
-# ---------------------------------------------------------------------------
-# Run-length encoding of toss matrices (rows = samples, True = heads)
-# ---------------------------------------------------------------------------
-
-
-def tosses_from_codes(bits: np.ndarray) -> np.ndarray:
-    """Heads matrix of the coin sequences coupled to rows of code bits."""
-    if bits.ndim != 2 or bits.shape[1] < 2:
-        raise ValueError("need a matrix of at least two code bits per row")
-    return bits[:, 1:] != bits[:, :-1]
-
-
-@dataclass(frozen=True)
-class TossRuns:
-    """Run-length encoding of a toss matrix (rows = samples, True = heads).
-
-    ``length`` and ``tail`` describe every maximal constant run of every
-    row, in row-major order; row i owns the runs ``start[i]:start[i + 1]``.
-    Each method is one projection of the encoding, one value (or one
-    histogram row) per toss row.
-    """
-
-    width: int
-    length: np.ndarray  # int32 run lengths
-    tail: np.ndarray  # True for a run of tails
-    start: np.ndarray  # int64 run offsets, one per row plus the end
-
-    @property
-    def rows(self) -> int:
-        return self.start.size - 1
-
-    def _row_reduce(self, ufunc: np.ufunc, per_run: np.ndarray, dtype=None) -> np.ndarray:
-        if per_run.size == 0:  # zero-width rows own no runs
-            return np.zeros(self.rows, dtype=np.int64)
-        return ufunc.reduceat(per_run, self.start[:-1], dtype=dtype).astype(np.int64)
-
-    def _row_sum(self, per_run: np.ndarray) -> np.ndarray:
-        # no row sums past its width < 2^31: int32 accumulation spares the
-        # int64 copy of the whole input that np.add.reduceat makes by default
-        if per_run.dtype == bool:
-            per_run = per_run.view(np.int8)
-        return self._row_reduce(np.add, per_run, np.int32)
-
-    def _row_histogram(self, mask: np.ndarray, lo: int, columns: int) -> np.ndarray:
-        """(rows, columns) counts of the runs in ``mask`` by length lo .. lo+columns-1."""
-        sel = mask & (self.length >= lo)
-        sel &= self.length < lo + columns
-        row = np.repeat(np.arange(self.rows, dtype=np.int32), self._row_sum(sel))
-        row *= columns
-        row += np.compress(sel, self.length)
-        row -= lo
-        counts = np.bincount(row, minlength=self.rows * columns)
-        return counts.reshape(self.rows, columns)
-
-    def head_count(self) -> np.ndarray:
-        return self._row_sum(np.where(self.tail, 0, self.length))
-
-    def tail_runs(self) -> np.ndarray:
-        """Number of maximal tail runs."""
-        return self._row_sum(self.tail)
-
-    def longest_tail_run(self) -> np.ndarray:
-        """Longest run of tails, 0 for an all-heads row (Schilling 1990)."""
-        return self._row_reduce(np.maximum, np.where(self.tail, self.length, 0))
-
-    def tail_run_histogram(self, rmax: int) -> np.ndarray:
-        """Column r-1 counts the maximal tail runs of length exactly r, r = 1 .. rmax."""
-        return self._row_histogram(self.tail, 1, rmax)
-
-    def window_counts(self, kmax: int) -> np.ndarray:
-        """Column k-1 counts the windows H T^(k-1) H, k = 1 .. kmax.
-
-        For k >= 2 these are the interior tail runs (neither first nor last
-        in the row) of length k-1; k = 1 counts adjacent heads, the head
-        runs' lengths less one.
-        """
-        interior = self.tail.copy()
-        if interior.size:
-            interior[self.start[:-1]] = False
-            interior[self.start[1:] - 1] = False
-        out = self._row_histogram(interior, 0, kmax)
-        adjacent_heads = self.length - 1
-        adjacent_heads *= ~self.tail
-        out[:, 0] = self._row_sum(adjacent_heads)
-        return out
-
-    def degree_counts(self, n: int, kmax: int) -> np.ndarray:
-        """Degree census columns D_1 .. D_kmax for trees of size n.
-
-        A size-k block of the coupled code is one degree-(k+1) vertex and a
-        size-k block with k >= 2 is a tail run of length k-1.
-        """
-        if self.width != n - 3:
-            raise ValueError(f"expected n-3 = {n - 3} tosses per row, got {self.width}")
-        out = np.zeros((self.rows, kmax), dtype=np.int64)
-        nblocks = 1 + self.head_count()
-        out[:, 0] = n - nblocks
-        if kmax >= 2:
-            out[:, 1] = nblocks - self.tail_runs()
-        if kmax >= 3:
-            out[:, 2:] = self.tail_run_histogram(kmax - 2)
-        return out
-
-    def cover_number(self) -> np.ndarray:
-        """Cover number per row; :func:`permtree.cover.gamma_from_tosses` per run.
-
-        A tail run counts one, a head run of length L counts floor((L-1)/2),
-        and each row end that is a head counts one.
-        """
-        if self.width < 1:
-            raise ValueError("need at least one toss per row (trees of size >= 4)")
-        odd_far_heads = self.length - 1
-        odd_far_heads >>= 1
-        odd_far_heads *= ~self.tail
-        total = self._row_sum(odd_far_heads) + self.tail_runs()
-        total += ~self.tail[self.start[:-1]]
-        total += ~self.tail[self.start[1:] - 1]
-        return total
-
-
-def toss_runs(heads: np.ndarray) -> TossRuns:
-    """Encode every row of a toss matrix into its maximal constant runs.
-
-    One pass over the whole matrix: a run starts wherever a toss differs
-    from its predecessor and at every row start; its kind follows from the
-    row's first toss by alternation.  Memory grows linearly with the
-    matrix, so callers bound it: the Monte Carlo harness encodes one chunk
-    at a time.
-    """
-    rows, width = heads.shape
-    flat = heads.reshape(-1)
-    if flat.size == 0:  # zero-width rows own no runs
-        return TossRuns(width, np.zeros(0, np.int32), np.zeros(0, bool), np.zeros(rows + 1, np.int64))
-    edge = np.empty(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=edge[1:])
-    edge[::width] = True
-    starts = np.flatnonzero(edge)
-    length = np.empty(starts.size, dtype=np.int32)
-    np.subtract(starts[1:], starts[:-1], out=length[:-1], casting="unsafe")
-    length[-1] = flat.size - starts[-1]
-    start = np.searchsorted(starts, np.arange(0, flat.size + 1, width))
-    # run j is tails iff j is odd xor the row's phase (the row opens with
-    # tails xor its first run's index is odd); cheaper than ~flat[starts]
-    phase = ~heads[:, 0] ^ (start[:-1] & 1).astype(bool)
-    tail = np.zeros(starts.size, dtype=bool)
-    tail[1::2] = True
-    tail ^= np.repeat(phase, np.diff(start))
-    return TossRuns(width, length, tail, start)
-
-
-def batch_head_count(heads: np.ndarray) -> np.ndarray:
-    return toss_runs(heads).head_count()
-
-
-def batch_longest_tail_run(heads: np.ndarray) -> np.ndarray:
-    """Per-row longest run of tails (0 for all-heads rows)."""
-    return toss_runs(heads).longest_tail_run()
-
-
-def batch_tail_run_starts(heads: np.ndarray) -> np.ndarray:
-    """Per-row number of maximal tail runs."""
-    return toss_runs(heads).tail_runs()
-
-
-def batch_tail_runs_equal(heads: np.ndarray, r: int) -> np.ndarray:
-    """Per-row number of maximal tail runs of length exactly r >= 1."""
-    if r < 1:
-        raise ValueError("run length must be >= 1")
-    if r > heads.shape[1]:
-        return np.zeros(heads.shape[0], dtype=np.int64)
-    return toss_runs(heads).tail_run_histogram(r)[:, r - 1]
-
-
-def batch_window_counts(heads: np.ndarray, k: int) -> np.ndarray:
-    """Per-row occurrences of H T^(k-1) H."""
-    if k < 1:
-        raise ValueError("window parameter k must be >= 1")
-    if k >= heads.shape[1]:
-        return np.zeros(heads.shape[0], dtype=np.int64)
-    return toss_runs(heads).window_counts(k)[:, k - 1]
-
-
-def batch_degree_counts(heads: np.ndarray, n: int, kmax: int) -> np.ndarray:
-    """Per-row degree census columns D_1 .. D_kmax for trees of size n."""
-    return toss_runs(heads).degree_counts(n, kmax)
+def __getattr__(name: str):
+    # The benchmark's trace looks these toss-matrix names up here; they live
+    # in montecarlo, and this forward goes with the shims (ROADMAP item 1).
+    if name == "tosses_from_codes" or name.startswith("batch_"):
+        return getattr(import_module(".montecarlo", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

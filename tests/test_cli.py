@@ -223,11 +223,42 @@ def test_usage_error_exit_2(run):
     assert code == 2
 
 
+# In a fresh interpreter: import the CLI and verify, run every exact command
+# in process, and report exit codes and which heavy modules got loaded.
+_EXACT_COMMANDS_PROBE = """
+import contextlib, io, json, sys
+import permtree.cli, permtree.verify
+extra = {"maxdeg": ["--k", "1"], "ystar": ["--k", "2"], "runs": ["--q", "0.5"]}
+argvs = [["count", "--what", "trees", "--n", "10"],
+         ["enumerate", "--n", "6", "--emit", "stats", "--format", "csv"],
+         *(["theory", "--stat", s, "--n", "100", *extra.get(s, [])]
+           for s in permtree.cli.THEORY_STATS if s != "dcov"),
+         ["verify", "--max-n", "8"]]
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(permtree.cli.main(argv))
+heavy = ("numpy", "scipy.stats", "scipy.special")
+print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of every cold start, scipy.special a third
+    # the exact layer never imports numpy (about 0.13 s of a cold start) or
+    # scipy (scipy.stats about a second, scipy.special a third); only the
+    # Monte Carlo commands load them
     env = dict(os.environ, PYTHONPATH=str(Path(permtree.__file__).parent.parent))
-    probe = "import sys, permtree.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _EXACT_COMMANDS_PROBE], env=env, capture_output=True, text=True,
+        check=True,
     ).stdout
-    assert out.strip() == "False False"
+    result = json.loads(out)
+    assert result["codes"] == [0] * 9
+    assert result["loaded"] == []
+
+
+def test_stats_choices_are_the_registry_names_in_order():
+    from permtree.cli import SAMPLED_STATS
+    from permtree.montecarlo import REGISTRY
+
+    assert SAMPLED_STATS == tuple(entry.cli_name for entry in REGISTRY.values())

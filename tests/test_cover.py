@@ -14,7 +14,6 @@ from permtree.codec import (
     enumerate_trees,
 )
 from permtree.cover import (
-    batch_gamma,
     gamma_code,
     gamma_decomposition,
     gamma_formula,
@@ -24,6 +23,7 @@ from permtree.cover import (
     min_cover_oracle,
 )
 from permtree.errors import NotATreeError
+from permtree.montecarlo import batch_gamma
 from permtree.perm import Permutation, build_graph
 from permtree.structure import adjacency_via_blocks
 

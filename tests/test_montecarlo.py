@@ -31,8 +31,9 @@ from permtree.montecarlo import (
     normality_check,
     run_experiment,
     substream,
+    tosses_from_codes,
 )
-from permtree.stats import coin_stats, tosses_from_codes, tree_stats
+from permtree.stats import coin_stats, tree_stats
 
 
 def test_config_validation():

@@ -6,6 +6,7 @@ import pytest
 
 from permtree.perm import (
     Permutation,
+    int_entries,
     build_graph,
     components,
     inversion_count,
@@ -25,6 +26,15 @@ from conftest import (
     naive_pattern_321,
     naive_pattern_3412,
 )
+
+
+def test_int_entries_accepts_numpy_ints_and_bools():
+    vals = int_entries([2, True, np.uint8(3), np.False_, np.int64(7)])
+    assert vals == (2, 1, 3, 0, 7) and all(type(v) is int for v in vals)
+    assert Permutation(np.array([2, 3, 1])).values == (2, 3, 1)
+    for bad in ([1, 2.0], [np.True_, np.float64(1.0)], ["1"]):
+        with pytest.raises(TypeError):
+            int_entries(bad)
 
 
 def test_permutation_validation():

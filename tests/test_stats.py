@@ -11,18 +11,21 @@ import pytest
 
 from permtree import verify
 from permtree.codec import TreeCode, enumerate_trees
-from permtree.perm import Permutation, build_graph
-from permtree.stats import (
-    DegreeCensus,
+from permtree.montecarlo import (
     batch_degree_counts,
     batch_head_count,
     batch_longest_tail_run,
     batch_tail_run_starts,
     batch_tail_runs_equal,
     batch_window_counts,
+    degree_cov,
+    tosses_from_codes,
+)
+from permtree.perm import Permutation, build_graph
+from permtree.stats import (
+    DegreeCensus,
     coin_stats,
     coupled_tree_stats_equivalence,
-    degree_cov,
     diameter_pmf,
     expected_block_count,
     expected_degree_count,
@@ -31,7 +34,6 @@ from permtree.stats import (
     maxdeg_cdf_approx,
     run_lengths,
     sigma_entry,
-    tosses_from_codes,
     tree_stats,
     y_star_moments,
 )

@@ -63,6 +63,13 @@ def test_random_bits_equal_integer_draw(seed, length):
     assert _same_state(ours, theirs)
 
 
+@pytest.mark.parametrize("domain, error", [(261, ValueError), (-251, ValueError), (True, TypeError)])
+def test_domain_outside_one_byte_rejected(domain, error):
+    # masked to one byte, 261 and -251 would draw gamma's streams (tag 5), True tag 1's
+    with pytest.raises(error):
+        substream(7, domain, 3)
+
+
 def test_random_bits_rejects_negative_length():
     with pytest.raises(ValueError):
         random_bits(np.random.default_rng(0), -1)

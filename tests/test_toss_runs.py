@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permtree import stats
 from permtree.cover import gamma_from_tosses
-from permtree.stats import coin_stats, run_lengths, toss_runs
+from permtree.montecarlo import TossRuns, toss_runs
+from permtree.stats import coin_stats, run_lengths
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -80,7 +80,7 @@ def test_encoding_joins_over_row_slices(heads, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, heads.shape[0]), max_size=4)))
     parts = [toss_runs(heads[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, heads.shape[0]])]
     offsets = np.cumsum([0] + [p.length.size for p in parts])
-    joined = stats.TossRuns(
+    joined = TossRuns(
         width,
         np.concatenate([p.length for p in parts]),
         np.concatenate([p.tail for p in parts]),
