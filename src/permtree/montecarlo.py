@@ -18,11 +18,12 @@ Each statistic is one entry of :data:`REGISTRY`, keyed by its canonical
 name: its Philox domain tag, its ``permtree stats --stat`` name, the
 smallest n it accepts, the configuration parameters it reads (and
 reports), the draw of one row per sample (the n - 2 code bits unless
-stated), the chunk kernel and the builder that turns the merged chunks
-into a report.  :func:`_compute_chunk` walks the streams and stacks the
-rows; a kernel is a pure function of that matrix.  Coin statistics are
-read from the code bits through one run-length encoding per chunk
-(:func:`toss_runs`) and its projections (:class:`TossRuns`); every
+stated), the chunk kernel and the report builder.  :func:`_compute_chunk`
+walks the streams and stacks the rows; a kernel is a pure function of that
+matrix and returns one statistic row per sample (a value or a count
+vector), and the report reads every chunk's rows concatenated.  Coin
+statistics are read from the code bits through one run-length encoding per
+chunk (:func:`toss_runs`) and its projections (:class:`TossRuns`); every
 theoretical number placed in a report comes from the closed-form
 operations of :mod:`permtree.stats` and :mod:`permtree.cover`.  This is
 the one module that imports numpy: the exact layer never loads it.
@@ -55,6 +56,7 @@ _GEOMETRIC_BUCKETS = 1 << 16
 
 MAXDEG_K_RANGE = tuple(range(-2, 7))
 WINDOW_K_MAX = 6
+DEGREE_K_MAX = 64  # largest dcensus kmax: each column is kept for every sample
 
 # the bounds of the report gates; every report lists them under "tolerances"
 TOLERANCES = MappingProxyType({
@@ -99,10 +101,18 @@ def check_seed(seed: int, bits: int = 64, name: str = "seed") -> None:
     A non-integer or a bool (``TypeError``) would be truncated or read as
     0 or 1, a value outside [0, 2**bits) masked or taken modulo 2**bits.
     """
-    if isinstance(seed, bool):
-        raise TypeError(f"{name} must be an integer, not a bool")
-    if not 0 <= operator.index(seed) < 1 << bits:
+    if not 0 <= _integer(seed, name) < 1 << bits:
         raise InvalidConfigError(f"{name} must lie in [0, 2**{bits})")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def _key(seed: int, domain: int | str, index: int) -> np.ndarray:
@@ -127,6 +137,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # numpy integers are stored as Python ints, which the report's JSON takes
+        for name in ("n", "samples", "seed", "m", "kmax", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         entry = REGISTRY.get(self.statistic)
         if entry is None:
             raise InvalidConfigError(f"unknown statistic {self.statistic!r}")
@@ -147,8 +160,8 @@ class ExperimentConfig:
             # a covariance of the m degree counts needs two samples
             if self.samples < 2:
                 raise InvalidConfigError(f"{self.statistic} needs at least 2 samples")
-        if "kmax" in entry.params and self.kmax < 1:
-            raise InvalidConfigError(f"{self.statistic} needs kmax >= 1")
+        if "kmax" in entry.params and not 1 <= self.kmax <= DEGREE_K_MAX:
+            raise InvalidConfigError(f"{self.statistic} supports 1 <= kmax <= {DEGREE_K_MAX}")
         # each squared count or cross product is at most n^2, summed in int64
         if entry.squares and self.samples * self.n**2 >= _INT64_LIMIT:
             raise InvalidConfigError(
@@ -383,45 +396,34 @@ def _coin_runs(bits: np.ndarray) -> TossRuns:
     return toss_runs(tosses_from_codes(bits))
 
 
-def _diam_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+def _diam_chunk(config: ExperimentConfig, bits: np.ndarray) -> np.ndarray:
     if config.n <= 3:
         # no tosses: the only tree is the path on n vertices
-        return {"values": np.full(len(bits), config.n - 1, dtype=np.int64)}
-    return {"values": tosses_from_codes(bits).sum(axis=1, dtype=np.int64) + 2}
+        return np.full(len(bits), config.n - 1, dtype=np.int64)
+    return tosses_from_codes(bits).sum(axis=1, dtype=np.int64) + 2
 
 
-def _leaves_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+def _leaves_chunk(config: ExperimentConfig, bits: np.ndarray) -> np.ndarray:
     # a caterpillar's spine holds its non-leaves: leaves = n + 1 - diameter
-    return {"values": config.n + 1 - _diam_chunk(config, bits)["values"]}
+    return config.n + 1 - _diam_chunk(config, bits)
 
 
-def _maxdeg_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
-    return {"values": _coin_runs(bits).longest_tail_run() + 2}
+def _maxdeg_chunk(config: ExperimentConfig, bits: np.ndarray) -> np.ndarray:
+    return _coin_runs(bits).longest_tail_run() + 2
 
 
-def _gamma_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
-    return {"values": _coin_runs(bits).cover_number()}
+def _gamma_chunk(config: ExperimentConfig, bits: np.ndarray) -> np.ndarray:
+    return _coin_runs(bits).cover_number()
 
 
-def _dcensus_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
+def _dcensus_chunk(config: ExperimentConfig, bits: np.ndarray) -> np.ndarray:
+    """Columns D_1 .. D_kmax, then the window counts k = 1 .. WINDOW_K_MAX."""
     runs = _coin_runs(bits)
-    counts = runs.degree_counts(config.n, config.kmax)
-    windows = runs.window_counts(WINDOW_K_MAX)
-    return {
-        "dsum": counts.sum(axis=0),
-        "dsumsq": (counts * counts).sum(axis=0),
-        "wsum": windows.sum(axis=0),
-        "wsumsq": (windows * windows).sum(axis=0),
-    }
+    return np.hstack([runs.degree_counts(config.n, config.kmax), runs.window_counts(WINDOW_K_MAX)])
 
 
-def _dcov_chunk(config: ExperimentConfig, bits: np.ndarray) -> dict:
-    counts = _coin_runs(bits).degree_counts(config.n, config.m)
-    return {
-        "dsum": counts.sum(axis=0),
-        "dd": counts.T @ counts,
-        "d1": counts[:, 0].copy(),
-    }
+def _dcov_chunk(config: ExperimentConfig, bits: np.ndarray) -> np.ndarray:
+    return _coin_runs(bits).degree_counts(config.n, config.m)
 
 
 @lru_cache(maxsize=8)
@@ -471,12 +473,12 @@ def _geometric(rng: np.random.Generator, q: float, size: int) -> np.ndarray:
     return draws
 
 
-def _runs_geometric_chunk(config: ExperimentConfig, draws: np.ndarray) -> dict:
-    return {"values": 1 + np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1)}
+def _runs_geometric_chunk(config: ExperimentConfig, draws: np.ndarray) -> np.ndarray:
+    return 1 + np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1)
 
 
-def _compute_chunk(task: tuple) -> dict:
-    """Raw per-chunk aggregates; pure function of (config, start, count).
+def _compute_chunk(task: tuple) -> np.ndarray:
+    """One statistic row per sample; pure function of (config, start, count).
 
     The one stream walk: the rows of the statistic's ``draw``, one per
     sample, stacked into the matrix its kernel reads.
@@ -497,26 +499,19 @@ def _chunk_rows(n: int) -> int:
     return min(CHUNK, max(1, _CHUNK_TOSSES // n))
 
 
-def _gather(config: ExperimentConfig) -> list[dict]:
+def _gather(config: ExperimentConfig) -> np.ndarray:
+    """The statistic rows of every sample, in sample order."""
     rows = _chunk_rows(config.n)
     tasks = [
         (config, start, min(rows, config.samples - start))
         for start in range(0, config.samples, rows)
     ]
     if config.workers <= 1 or len(tasks) == 1:
-        return [_compute_chunk(t) for t in tasks]
+        return np.concatenate([_compute_chunk(t) for t in tasks])
     import multiprocessing as mp
 
     with mp.Pool(min(config.workers, len(tasks))) as pool:
-        return pool.map(_compute_chunk, tasks)
-
-
-def _merged_values(parts: list[dict]) -> np.ndarray:
-    return np.concatenate([p["values"] for p in parts])
-
-
-def _summed(parts: list[dict], key: str) -> np.ndarray:
-    return np.sum([p[key] for p in parts], axis=0)
+        return np.concatenate(pool.map(_compute_chunk, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +628,12 @@ def _add_shape(empirical: dict, tests: list, key: str, values: np.ndarray, limit
 
 
 def _mean_tests(
-    prefix: str, sums: np.ndarray, sumsqs: np.ndarray, theory: Mapping[int, float],
-    count: int, limit: float,
+    prefix: str, counts: np.ndarray, theory: Mapping[int, float], limit: float
 ) -> dict[int, dict]:
-    """z gates ``{prefix}_{k}`` on the means by k, from exact integer sums and sums of squares."""
+    """z gates ``{prefix}_{k}`` on column k - 1's mean, from exact int64 sums and squares."""
+    count = len(counts)
+    sums = counts.sum(axis=0)
+    sumsqs = (counts * counts).sum(axis=0)
     gates = {}
     for k, th_mean in theory.items():
         emp_mean = float(sums[k - 1]) / count
@@ -695,7 +692,7 @@ def _binomial_pmf_window(n: int, values: np.ndarray, mean: float, sd: float) -> 
 
 
 def _scalar_law_report(
-    config: ExperimentConfig, parts: list[dict], *, normality: bool
+    config: ExperimentConfig, values: np.ndarray, *, normality: bool
 ) -> tuple[dict, dict, list]:
     """Leaves / diameter: binomial law plus moment and shape tests.
 
@@ -704,7 +701,6 @@ def _scalar_law_report(
     from scipy.special import chdtri  # deferred: scipy.special dominates a cold import
 
     n = config.n
-    values = _merged_values(parts)
     mean, var, _ = _moments_from_values(values)
     hist = _histogram(values)
     count = values.size
@@ -737,8 +733,7 @@ def _scalar_law_report(
     return empirical, theory, tests
 
 
-def _maxdeg_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
-    values = _merged_values(parts)
+def _maxdeg_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
     n = config.n
     count = values.size
     hist = _histogram(values)
@@ -763,8 +758,7 @@ def _maxdeg_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, d
     return empirical, theory, list(gates.values())
 
 
-def _gamma_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
-    values = _merged_values(parts)
+def _gamma_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
     n = config.n
     mean, var, _ = _moments_from_values(values)
     th = _cover.gamma_theory(n)
@@ -792,19 +786,18 @@ def _gamma_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, di
     return empirical, theory, tests
 
 
-def _dcensus_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
+def _dcensus_report(config: ExperimentConfig, rows: np.ndarray) -> tuple[dict, dict, list]:
     n = config.n
-    count = config.samples
+    kmax = config.kmax
     limit = TOLERANCES["z_limit"]
     degree = _mean_tests(
-        "degree_count", _summed(parts, "dsum"), _summed(parts, "dsumsq"),
-        {k: _stats.expected_degree_count(n, k) for k in range(1, config.kmax + 1)},
-        count, limit,
+        "degree_count", rows[:, :kmax],
+        {k: _stats.expected_degree_count(n, k) for k in range(1, kmax + 1)}, limit,
     )
     window = _mean_tests(
-        "window_count", _summed(parts, "wsum"), _summed(parts, "wsumsq"),
+        "window_count", rows[:, kmax:],
         {k: _stats.y_star_moments(n, k).mean for k in range(1, min(WINDOW_K_MAX, n - 4) + 1)},
-        count, limit,
+        limit,
     )
     empirical = {
         "degree_means": _by_k(degree, "empirical"),
@@ -836,12 +829,12 @@ def degree_cov(m: int) -> np.ndarray:
     return out
 
 
-def _dcov_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
+def _dcov_report(config: ExperimentConfig, counts: np.ndarray) -> tuple[dict, dict, list]:
     n = config.n
     m = config.m
-    count = config.samples
-    dsum = _summed(parts, "dsum").astype(np.float64)
-    dd = _summed(parts, "dd").astype(np.float64)
+    count = len(counts)
+    dsum = counts.sum(axis=0).astype(np.float64)
+    dd = (counts.T @ counts).astype(np.float64)
     cov = (dd - np.outer(dsum, dsum) / count) / (count - 1) / n
     theory_cov = degree_cov(m)
     tests = [
@@ -851,15 +844,13 @@ def _dcov_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dic
         for i in range(m)
         for j in range(i, m)
     ]
-    d1 = np.concatenate([p["d1"] for p in parts])
     empirical = {"cov": [[float(x) for x in row] for row in cov]}
-    _add_shape(empirical, tests, "normality_d1", d1, TOLERANCES["ks_limit"])
+    _add_shape(empirical, tests, "normality_d1", counts[:, 0], TOLERANCES["ks_limit"])
     theory = {"cov": [[float(x) for x in row] for row in theory_cov]}
     return empirical, theory, tests
 
 
-def _runs_report(config: ExperimentConfig, parts: list[dict]) -> tuple[dict, dict, list]:
-    values = _merged_values(parts)
+def _runs_report(config: ExperimentConfig, values: np.ndarray) -> tuple[dict, dict, list]:
     count = values.size
     mean, var, m4 = _moments_from_values(values)
     th = _stats.geometric_runs(config.n, config.q)
@@ -887,8 +878,8 @@ class Statistic:
     cli_name: str  # name of ``permtree stats --stat``
     min_n: int  # smallest n it accepts
     params: tuple[str, ...]  # configuration fields it reads, kept in its report
-    kernel: Callable[[ExperimentConfig, np.ndarray], dict]  # (config, stacked rows)
-    report: Callable[[ExperimentConfig, list[dict]], tuple[dict, dict, list]]
+    kernel: Callable[[ExperimentConfig, np.ndarray], np.ndarray]  # drawn rows -> a row per sample
+    report: Callable[[ExperimentConfig, np.ndarray], tuple[dict, dict, list]]  # every sample's row
     squares: bool = False  # sums squared per-sample counts in int64
     draw: Callable[[ExperimentConfig, np.random.Generator], np.ndarray] = _code_bits  # one row
 

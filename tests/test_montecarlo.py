@@ -23,6 +23,7 @@ from permtree.errors import (
 )
 from permtree.montecarlo import (
     CHUNK,
+    DEGREE_K_MAX,
     REGISTRY,
     WINDOW_K_MAX,
     ExperimentConfig,
@@ -61,6 +62,44 @@ def test_config_validation():
     assert tuple(stat.choices) == tuple(e.cli_name for e in REGISTRY.values()) == (
         "leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs",
     )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", True), ("n", 10.5), ("workers", 1.5), ("m", 5.0), ("kmax", "8")],
+)
+def test_config_integer_fields_reject_bools_and_non_integers(field, value):
+    # a bool would run and be reported as true; a float would fail deep in numpy or pass unread
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{"n": 50, "samples": 100, "seed": 1, "statistic": "dcensus", field: value})
+
+
+@pytest.mark.parametrize(
+    "statistic, fields",
+    [
+        ("dcov", dict(n=np.int64(50), samples=np.int32(100), seed=np.uint64(1), m=np.int8(3))),
+        ("dcensus", dict(n=np.int32(50), samples=np.int64(100), kmax=np.uint8(4), workers=np.int64(1))),
+    ],
+)
+def test_config_stores_numpy_integers_as_python_ints(statistic, fields):
+    # a numpy integer reaching the report would make to_json raise after the whole run
+    plain = {"seed": 1, "workers": 1, **{name: int(value) for name, value in fields.items()}}
+    config = ExperimentConfig(statistic=statistic, **{**plain, **fields})
+    for name in ("n", "samples", "seed", "m", "kmax", "workers"):
+        assert type(getattr(config, name)) is int
+    assert run_experiment(config).to_json() == run_experiment(
+        ExperimentConfig(statistic=statistic, **plain)
+    ).to_json()
+
+
+def test_dcensus_kmax_bounded():
+    # every kmax column is kept for every sample, and degrees above n - 1 cannot occur
+    assert 12 <= DEGREE_K_MAX  # the exhaustive kernel test reads kmax = n up to 12
+    common = dict(n=50, samples=10, seed=1, statistic="dcensus")
+    assert ExperimentConfig(**common, kmax=DEGREE_K_MAX).kmax == DEGREE_K_MAX
+    for kmax in (0, DEGREE_K_MAX + 1, 10**5):
+        with pytest.raises(InvalidConfigError, match="kmax"):
+            ExperimentConfig(**common, kmax=kmax)
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))
@@ -247,20 +286,14 @@ def test_chunk_kernels_match_tree_oracles_on_every_code(n):
         config = ExperimentConfig(n=n, samples=len(codes), seed=0, statistic=statistic, **params)
         return REGISTRY[statistic].kernel(config, bits)
 
-    assert chunk("leaves")["values"].tolist() == [s.leaves for s in tstats]
-    assert chunk("diam")["values"].tolist() == [s.diameter for s in tstats]
-    assert chunk("maxdeg")["values"].tolist() == [s.max_degree for s in tstats]
-    assert chunk("gamma")["values"].tolist() == [min_cover_oracle(p) for p in trees]
-    census = chunk("dcensus", kmax=n)
-    assert np.array_equal(census["dsum"], degrees.sum(axis=0))
-    assert np.array_equal(census["dsumsq"], (degrees**2).sum(axis=0))
-    assert np.array_equal(census["wsum"], windows.sum(axis=0))
-    assert np.array_equal(census["wsumsq"], (windows**2).sum(axis=0))
+    # one statistic row per code, in code order
+    assert chunk("leaves").tolist() == [s.leaves for s in tstats]
+    assert chunk("diam").tolist() == [s.diameter for s in tstats]
+    assert chunk("maxdeg").tolist() == [s.max_degree for s in tstats]
+    assert chunk("gamma").tolist() == [min_cover_oracle(p) for p in trees]
+    assert np.array_equal(chunk("dcensus", kmax=n), np.hstack([degrees, windows]))
     m = min(n, 8)
-    cov = chunk("dcov", m=m)
-    assert np.array_equal(cov["dsum"], degrees[:, :m].sum(axis=0))
-    assert np.array_equal(cov["dd"], degrees[:, :m].T @ degrees[:, :m])
-    assert np.array_equal(cov["d1"], degrees[:, 0])
+    assert np.array_equal(chunk("dcov", m=m), degrees[:, :m])
 
 
 def test_report_deterministic_and_worker_independent():
@@ -271,6 +304,13 @@ def test_report_deterministic_and_worker_independent():
     # the worker count must not affect a single output byte
     r3 = run_experiment(ExperimentConfig(**base, workers=2))
     assert r1.to_json() == r3.to_json()
+
+
+def test_dcov_report_worker_independent():
+    # each chunk's (count, m) block of degree counts crosses the pool and is concatenated in order
+    base = dict(n=64, samples=2500, seed=99, statistic="dcov", m=5)
+    pooled = run_experiment(ExperimentConfig(**base, workers=2))
+    assert pooled.to_json() == run_experiment(ExperimentConfig(**base, workers=1)).to_json()
 
 
 def test_pool_opens_no_more_processes_than_chunks(monkeypatch):
