@@ -141,9 +141,15 @@ def code_flags(perm: Permutation) -> list[int]:
     ``perm`` exactly when ``perm`` is a tree; otherwise raises
     :class:`NotATreeError`.
 
+    A checked code is kept on ``perm``, so a later call on the same object
+    returns a copy without decoding again; only this check fills it.
+
     >>> code_flags(Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10]))
     [1, 0, 0, 1, 1, 1, 0, 0, 0]
     """
+    checked = getattr(perm, "_code", None)
+    if checked is not None:
+        return list(checked)
     w = perm.values
     flags = []
     top = w[0]
@@ -155,6 +161,7 @@ def code_flags(perm: Permutation) -> list[int]:
             flags.append(0)
     if _decode_values(perm.n, flags) != list(w):
         raise NotATreeError(f"inversion graph of {perm} is not a tree")
+    object.__setattr__(perm, "_code", tuple(flags))
     return flags
 
 

@@ -140,25 +140,22 @@ def min_cover_oracle(perm: Permutation, adjacency: list[list[int]] | None = None
     if n == 1:
         return 0
     adj = build_graph(perm) if adjacency is None else adjacency
+    # a nonzero parent marks a letter reached; the root's is n + 1, a slot
+    # of take and skip that only absorbs the root's own push
     parent = [0] * (n + 1)
+    parent[1] = n + 1
     order = [1]
-    seen = [False] * (n + 1)
-    seen[1] = True
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:
         for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
+            if not parent[u]:
                 parent[u] = v
                 order.append(u)
     if len(order) != n:
         raise NotATreeError(f"graph of {perm} is not connected")
     # children come after their parent in BFS order, so each vertex is final
     # when reached backwards and pushes its values into its parent
-    take = [1] * (n + 1)
-    skip = [0] * (n + 1)
+    take = [1] * (n + 2)
+    skip = [0] * (n + 2)
     for v in reversed(order):
         t, s = take[v], skip[v]
         p = parent[v]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
@@ -140,6 +141,11 @@ class ExperimentConfig:
         # numpy integers are stored as Python ints, which the report's JSON takes
         for name in ("n", "samples", "seed", "m", "kmax", "workers"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.q is not None:
+            # a bool is no probability; a numpy float or a Fraction would reach the report's JSON
+            if isinstance(self.q, bool) or not isinstance(self.q, numbers.Real):
+                raise TypeError(f"q must be a real number, not {type(self.q).__name__}")
+            object.__setattr__(self, "q", float(self.q))
         entry = REGISTRY.get(self.statistic)
         if entry is None:
             raise InvalidConfigError(f"unknown statistic {self.statistic!r}")

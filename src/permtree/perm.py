@@ -49,7 +49,9 @@ class Permutation:
     1
     """
 
-    __slots__ = ("values",)
+    # _code holds the tree code once codec.code_flags has checked it against
+    # ``values``; it is unset on a non-tree and takes no part in equality
+    __slots__ = ("values", "_code")
 
     def __init__(self, values: Iterable[int]):
         vals = int_entries(values)

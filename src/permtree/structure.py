@@ -67,9 +67,10 @@ def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
     """
     n = perm.n
     starts = blocks(perm)
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
     if n == 1:
-        return adj
+        return [[], []]
+    # the pairs of blocks cover every position, so the loop fills every slot
+    adj: list[list[int]] = [[]] + [None] * n
     w = perm.values
     last = len(starts) - 1
     before: list[int] = []  # the previous pair's last maximum, which the hub also meets

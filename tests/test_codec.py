@@ -14,6 +14,7 @@ from permtree.codec import (
 )
 from permtree.errors import CapExceededError, NotATreeError
 from permtree.perm import Permutation, build_graph, is_tree_permutation
+from permtree.structure import adjacency_via_blocks
 
 from conftest import insert_first_kind, insert_second_kind, naive_is_tree, sample_tree
 
@@ -101,10 +102,43 @@ def test_encode_examples():
 
 
 def test_encode_rejects_non_tree():
-    with pytest.raises(NotATreeError):
-        encode(Permutation([1, 2, 3]))
-    with pytest.raises(NotATreeError):
-        encode(Permutation([3, 2, 1]))
+    for values in ([1, 2, 3], [3, 2, 1]):
+        p = Permutation(values)
+        # a failed check keeps nothing, so the same object fails every time
+        for _ in range(2):
+            with pytest.raises(NotATreeError):
+                codec.code_flags(p)
+            with pytest.raises(NotATreeError):
+                encode(p)
+
+
+def test_a_permutation_code_is_decoded_once(monkeypatch):
+    calls = []
+    decode_values = codec._decode_values
+    monkeypatch.setattr(
+        codec, "_decode_values", lambda n, bits: calls.append(n) or decode_values(n, bits)
+    )
+    code = TreeCode(9, (1, 0, 0, 1, 1, 0, 1))
+    # the round trip decodes the code, then checks the flags read off the values
+    assert encode(decode(code)) == code
+    assert len(calls) == 2
+    p = decode(code)
+    calls.clear()
+    adjacency_via_blocks(p)
+    assert encode(p) == code
+    assert len(calls) == 1
+
+
+def test_a_checked_code_changes_neither_equality_nor_later_codes():
+    code = TreeCode(9, (1, 0, 0, 1, 1, 0, 1))
+    p = decode(code)
+    adjacency_via_blocks(p)
+    fresh = Permutation(p.values)
+    assert p == fresh and hash(p) == hash(fresh)
+    for flags in (codec.code_flags(fresh), codec.code_flags(p)):
+        flags[:] = [0] * len(flags)
+        flags.append(1)
+    assert encode(p) == encode(fresh) == code
 
 
 @pytest.mark.parametrize("n", range(1, 13))

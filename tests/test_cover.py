@@ -86,8 +86,10 @@ def test_min_cover_examples():
 
 def test_min_cover_oracle_rejects_a_disconnected_graph():
     two_edges = [[], [2], [1], [4], [3]]
-    with pytest.raises(NotATreeError):
-        min_cover_oracle(Permutation([2, 1, 4, 3]), two_edges)
+    isolated_root = [[], [], [3], [2]]  # letter 1, the root, reaches nothing
+    for values, adjacency in (([2, 1, 4, 3], two_edges), ([1, 3, 2], isolated_root)):
+        with pytest.raises(NotATreeError):
+            min_cover_oracle(Permutation(values), adjacency)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,23 @@ def test_config_integer_fields_reject_bools_and_non_integers(field, value):
     # a bool would run and be reported as true; a float would fail deep in numpy or pass unread
     with pytest.raises(TypeError, match=f"{field} must be an integer"):
         ExperimentConfig(**{"n": 50, "samples": 100, "seed": 1, "statistic": "dcensus", field: value})
+
+
+@pytest.mark.parametrize("q", [np.float32(0.5), Fraction(1, 2)])
+def test_config_stores_q_as_a_python_float(q):
+    # an unconverted q ran the whole experiment, then made to_json raise
+    common = dict(n=40, samples=100, seed=1, statistic="runs_geometric")
+    config = ExperimentConfig(**common, q=q)
+    assert type(config.q) is float
+    assert run_experiment(config).to_json() == run_experiment(
+        ExperimentConfig(**common, q=0.5)
+    ).to_json()
+
+
+@pytest.mark.parametrize("q", [True, "0.5"])
+def test_config_q_rejects_bools_and_non_numbers(q):
+    with pytest.raises(TypeError, match="q must be a real number"):
+        ExperimentConfig(n=40, samples=100, seed=1, statistic="runs_geometric", q=q)
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,8 @@ MUTANTS = [
     # a forest test that drops the 3412 half
     (verify.CENSUS, counting, "is_forest", lambda f: lambda p: not perm.pattern_flags(p)[0]),
     (verify.ROUNDTRIP, codec, "encode", lambda f: lambda p: TreeCode.from_packed(p.n, 0)),
+    # a code not read off the values: the round trip must re-read them to catch it
+    (verify.ROUNDTRIP, codec, "code_flags", lambda f: lambda p: [0] * max(p.n - 2, 0)),
     (verify.ADJACENCY, perm, "build_graph", lambda f: lambda p: [nbrs[:-1] for nbrs in f(p)]),
     (verify.ADJACENCY, structure, "adjacency_via_blocks",
      lambda f: lambda p: [nbrs[1:] for nbrs in f(p)]),
