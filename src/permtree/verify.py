@@ -3,12 +3,13 @@
 ``CHECKS`` lists them in report order.  Each sweeps every object of each
 size n in a range, counting the objects it checked and the comparisons
 that failed: ``permtree verify`` runs them up to their caps through
-:func:`run`, the acceptance tests over larger ranges.  A routine that
-raises on an object fails that object's comparison, and the sweep goes
-on.  Package functions
-are looked up on their modules at call time (``cover.gamma_formula``, not
-a reference taken at import), so a wrapper installed on a module
-attribute is what a check calls.
+:func:`run`, the acceptance tests over larger ranges.  The cover check's
+per-tree predicate, :func:`cover_agrees`, also serves the acceptance
+tests' sampled trees.  A routine that raises on an object fails that
+object's comparison, and the sweep goes on.  Package functions are
+looked up on their modules at call time (``cover.gamma_formula``, not a
+reference taken at import), so a wrapper installed on a module attribute
+is what a check calls.
 """
 from __future__ import annotations
 
@@ -84,11 +85,20 @@ def _caterpillar_ok(p: perm.Permutation) -> bool:
     return spine[0] in (1, first) and spine[-1] in (n, last)
 
 
-def _cover_ok(code: codec.TreeCode) -> bool:
-    """Four routes to the cover number agree: marking, formula, DP and the coin route."""
+def cover_agrees(code: codec.TreeCode) -> bool:
+    """Four routes to the cover number agree: marking, formula, DP and the coin route.
+
+    The three graph routes share one block adjacency of the decoded tree,
+    which ``ADJACENCY`` holds to the inversion graph.
+    """
     p = codec.decode(code)
-    marked = cover.marking_algorithm(p).size
-    return marked == cover.gamma_formula(p) == cover.min_cover_oracle(p) == cover.gamma_code(code)
+    adj = structure.adjacency_via_blocks(p)
+    return (
+        cover.marking_algorithm(p, adj).size
+        == cover.gamma_formula(p, adj)
+        == cover.min_cover_oracle(p, adj)
+        == cover.gamma_code(code)
+    )
 
 
 def _decomposition_ok(code: codec.TreeCode) -> bool:
@@ -157,7 +167,7 @@ ROUNDTRIP = Check(
 ADJACENCY = Check("block adjacency = inversion adjacency", 11, 2, _each(_TREES, _adjacency_ok))
 CATERPILLAR = Check("caterpillar shape and endpoints", 11, 3, _each(_TREES, _caterpillar_ok))
 # the label predates the fourth route, gamma_code; verify's output pins it
-COVER = Check("cover number triple agreement", 11, 1, _each(_CODES, _cover_ok))
+COVER = Check("cover number triple agreement", 11, 1, _each(_CODES, cover_agrees))
 DECOMPOSITION = Check("cover run decomposition identity", 11, 4, _each(_CODES, _decomposition_ok))
 LAWS = Check("exact leaf law and degree coupling", 12, 3, _laws)
 

@@ -4,7 +4,9 @@ One test per criterion (criteria 1-3 share one census run, criterion 8
 splits into its three clauses); each prints a single pass/fail line with
 the objects it checked and the seconds it took, visible with ``pytest
 -s``.  The exhaustive parts of criteria 1-7 run the checks of
-``permtree.verify`` over their own ranges.  The heavy fixed-seed
+``permtree.verify`` over their own ranges, and criterion 7's sampled
+part applies ``verify.cover_agrees``, the predicate of its cover check,
+to each sampled tree.  The heavy fixed-seed
 experiments (seed 0xC0FFEE, n = 10^4, 10^5 samples) are shared
 module-scoped fixtures.
 
@@ -25,24 +27,18 @@ import time
 import pytest
 
 from permtree import verify
-from permtree.codec import count_trees, decode, enumerate_trees, sample_code
+from permtree.codec import count_trees, enumerate_trees, sample_code
 from permtree.counting import census, forest_count, forest_total, indecomposable_count
-from permtree.cover import (
-    gamma_code,
-    gamma_formula,
-    gamma_variance_rate,
-    marking_algorithm,
-    min_cover_oracle,
-)
+from permtree.cover import gamma_variance_rate
 from permtree.montecarlo import ExperimentConfig, run_experiment, substreams
 from permtree.stats import maxdeg_cdf_approx
-
-from conftest import brute_force_trees
 
 SEED = 0xC0FFEE
 BIG_N = 10_000
 BIG_SAMPLES = 100_000
 WORKERS = 2
+# the exhaustive bound of the structure (5) and cover (7) checks
+EXHAUSTIVE_N = 12
 
 
 def _line(tag: str, ok: bool, text: str, *results: dict) -> None:
@@ -142,12 +138,12 @@ def test_criterion_3_indecomposable_counts(census_run):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_bijection():
+def test_criterion_4_bijection(trees_up_to_8):
     result = verify.ROUNDTRIP.run(18)
     ok = result["failures"] == 0
     for n in range(1, 9):
         image = {p.values for p in enumerate_trees(n)}
-        ok &= image == brute_force_trees(n)
+        ok &= image == trees_up_to_8[n]
         ok &= len(image) == count_trees(n)
     _line("4", ok, "encode(decode) = id for n<=18; decode image = brute-force trees for n<=8", result)
     assert ok
@@ -159,10 +155,11 @@ def test_criterion_4_bijection():
 
 
 def test_criterion_5_structure_lemmas():
-    results = [verify.ADJACENCY.run(12), verify.CATERPILLAR.run(12)]
+    results = [verify.ADJACENCY.run(EXHAUSTIVE_N), verify.CATERPILLAR.run(EXHAUSTIVE_N)]
     elapsed = sum(r["seconds"] for r in results)
     ok = _passed(results)
-    _line("5", ok and elapsed < 120, "block adjacency and caterpillar shape, n<=12", *results)
+    text = f"block adjacency and caterpillar shape, n<={EXHAUSTIVE_N}"
+    _line("5", ok and elapsed < 120, text, *results)
     assert ok
     assert elapsed < 120
 
@@ -184,46 +181,30 @@ def test_criterion_6_exact_laws():
 # ---------------------------------------------------------------------------
 
 
-def _triple_range(args: tuple) -> tuple[int, int]:
-    """(checked, mismatches) over a range of sampled trees at size n."""
-    seed, n, start, count = args
-    from permtree.structure import adjacency_via_blocks
-
-    mism = 0
-    for rng in substreams(seed, 9, start, count):
-        code = sample_code(n, rng)
-        p = decode(code)
-        adj = adjacency_via_blocks(p)
-        a = marking_algorithm(p, adj).size
-        b = gamma_formula(p, adj)
-        c = min_cover_oracle(p, adj)
-        d = gamma_code(code)
-        if not (a == b == c == d):
-            mism += 1
-    return count, mism
+def _sampled_cover(block: tuple[int, int]) -> tuple[int, int]:
+    """(checked, failures) of ``verify.cover_agrees`` on one block of sampled trees."""
+    start, count = block
+    rngs = substreams(SEED, 9, start, count)
+    oks = [verify.cover_agrees(sample_code(1000, rng)) for rng in rngs]
+    return len(oks), oks.count(False)
 
 
 def test_criterion_7_triple_agreement():
-    results = [verify.COVER.run(12), verify.DECOMPOSITION.run(12)]
+    results = [verify.COVER.run(EXHAUSTIVE_N), verify.DECOMPOSITION.run(EXHAUSTIVE_N)]
     sampled_start = time.perf_counter()
-    sampled_n = 1000
     samples = 100_000
     block = 2500
-    tasks = [
-        (SEED, sampled_n, start, min(block, samples - start))
-        for start in range(0, samples, block)
-    ]
     with mp.Pool(WORKERS) as pool:
-        parts = pool.map(_triple_range, tasks)
-    checked = sum(p[0] for p in parts)
-    mismatches = sum(p[1] for p in parts)
-    results.append({"checked": checked, "failures": mismatches, "seconds": time.perf_counter() - sampled_start})
+        parts = pool.map(_sampled_cover, [(start, block) for start in range(0, samples, block)])
+    checked = sum(c for c, _ in parts)
+    failures = sum(f for _, f in parts)
+    results.append({"checked": checked, "failures": failures, "seconds": time.perf_counter() - sampled_start})
     ok = _passed(results) and checked == samples
     _line(
         "7",
         ok,
-        f"marking = formula = exact minimizer and the run decomposition (n<=12 exhaustive; "
-        f"{checked} sampled at n=1000)",
+        f"marking = formula = exact minimizer and the run decomposition (n<={EXHAUSTIVE_N} "
+        f"exhaustive; {checked} sampled at n=1000)",
         *results,
     )
     assert ok

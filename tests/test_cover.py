@@ -12,6 +12,7 @@ from permtree.codec import (
     encode,
     enumerate_codes,
     enumerate_trees,
+    sample_code,
 )
 from permtree.cover import (
     gamma_code,
@@ -27,7 +28,7 @@ from permtree.montecarlo import batch_gamma
 from permtree.perm import Permutation, build_graph
 from permtree.structure import adjacency_via_blocks
 
-from conftest import edge_list, marking_brute, min_cover_brute, naive_edges, sample_tree
+from conftest import edge_list, marking_brute, min_cover_brute, naive_edges
 
 
 def path_permutation(n):
@@ -112,29 +113,10 @@ def test_marked_set_meets_every_edge(n):
             assert u in chosen or v in chosen
 
 
-def test_triple_agreement_with_block_adjacency():
-    """Passing the O(n) block-built adjacency changes nothing."""
-    for n in range(2, 10):
-        for p in enumerate_trees(n):
-            adj = adjacency_via_blocks(p)
-            assert (
-                marking_algorithm(p, adj).size
-                == gamma_formula(p, adj)
-                == min_cover_oracle(p, adj)
-                == gamma_formula(p)
-            )
-
-
 def test_triple_agreement_sampled_medium():
     rng = np.random.default_rng(99)
     for _ in range(60):
-        p = sample_tree(200, rng)
-        adj = adjacency_via_blocks(p)
-        a = marking_algorithm(p, adj).size
-        b = gamma_formula(p, adj)
-        c = min_cover_oracle(p, adj)
-        d = gamma_code(encode(p))
-        assert a == b == c == d
+        assert verify.cover_agrees(sample_code(200, rng))
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -179,7 +161,17 @@ def test_gamma_theory_values():
     assert gamma_theory(50).variance == pytest.approx(13.0)
 
 
-def test_gamma_variance_rate_matches_exhaustive():
+@pytest.fixture(scope="module")
+def gamma_sums():
+    """n -> (trees, sum of gamma, sum of gamma^2) over every code, n = 14..20 even."""
+    sums = {}
+    for n in (14, 16, 18, 20):
+        vals = [gamma_code(c) for c in enumerate_codes(n)]
+        sums[n] = len(vals), sum(vals), sum(v * v for v in vals)
+    return sums
+
+
+def test_gamma_variance_rate_matches_exhaustive(gamma_sums):
     """Exact variance over all trees of size n is (2/27) n minus a constant.
 
     The remainder must be the same constant for every n, which pins the
@@ -193,10 +185,7 @@ def test_gamma_variance_rate_matches_exhaustive():
     assert rate == Fraction(2, 27)
     remainders = []
     for n in (14, 16, 18, 20):
-        vals = [gamma_code(c) for c in enumerate_codes(n)]
-        total = len(vals)
-        s1 = sum(vals)
-        s2 = sum(v * v for v in vals)
+        total, s1, s2 = gamma_sums[n]
         exact_var = Fraction(s2, total) - Fraction(s1, total) ** 2
         remainders.append(rate * n - exact_var)
     diffs = [float(b - a) for a, b in zip(remainders, remainders[1:])]
@@ -205,14 +194,14 @@ def test_gamma_variance_rate_matches_exhaustive():
     assert abs(remainders[-1] - Fraction(10, 81)) < 1e-4
 
 
-def test_gamma_mean_rate_matches_exhaustive():
+def test_gamma_mean_rate_matches_exhaustive(gamma_sums):
     """Exact mean over all trees of size n is n/3 + 1/9 plus a vanishing remainder."""
     from fractions import Fraction
 
     rems = []
     for n in (16, 18, 20):
-        vals = [gamma_code(c) for c in enumerate_codes(n)]
-        mean = Fraction(sum(vals), len(vals))
+        total, s1, _ = gamma_sums[n]
+        mean = Fraction(s1, total)
         rems.append(float(mean - Fraction(n, 3)))
     assert all(abs(r) < 0.16 for r in rems)
     assert abs(rems[-1] - rems[-2]) < 2e-3

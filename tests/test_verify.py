@@ -53,6 +53,13 @@ def test_every_check_sees_objects_at_the_smallest_bound():
     assert all(r["checked"] >= 1 and r["failures"] == 0 for r in results)
 
 
+def test_the_adjacency_check_spans_every_size_the_cover_check_sweeps():
+    """COVER's graph routes read the block adjacency that ADJACENCY holds to the inversion graph."""
+    assert verify.ADJACENCY.cap >= verify.COVER.cap
+    for n in range(verify.COVER.min_n, verify.ADJACENCY.min_n):
+        assert verify.ADJACENCY.at(n) == (count_trees(n), 0)
+
+
 def _off_by_one(f):
     return lambda *args: f(*args) + 1
 
@@ -65,6 +72,10 @@ def _one_more_marked(f):
     return marking
 
 
+def _drop_first_neighbour(f):
+    return lambda p: [nbrs[1:] for nbrs in f(p)]
+
+
 # (check, module, attribute, mutation of the routine the check calls)
 MUTANTS = [
     (verify.CENSUS, counting, "forest_total", _off_by_one),
@@ -74,14 +85,15 @@ MUTANTS = [
     # a code not read off the values: the round trip must re-read them to catch it
     (verify.ROUNDTRIP, codec, "code_flags", lambda f: lambda p: [0] * max(p.n - 2, 0)),
     (verify.ADJACENCY, perm, "build_graph", lambda f: lambda p: [nbrs[:-1] for nbrs in f(p)]),
-    (verify.ADJACENCY, structure, "adjacency_via_blocks",
-     lambda f: lambda p: [nbrs[1:] for nbrs in f(p)]),
+    (verify.ADJACENCY, structure, "adjacency_via_blocks", _drop_first_neighbour),
     (verify.CATERPILLAR, structure, "central_path",
      lambda f: lambda p: tuple(sorted(f(p)))),
     (verify.COVER, cover, "marking_algorithm", _one_more_marked),
     (verify.COVER, cover, "gamma_formula", _off_by_one),
     (verify.COVER, cover, "min_cover_oracle", _off_by_one),
     (verify.COVER, cover, "gamma_code", _off_by_one),
+    # the three graph routes share the block adjacency
+    (verify.COVER, structure, "adjacency_via_blocks", _drop_first_neighbour),
     (verify.DECOMPOSITION, cover, "run_lengths", lambda f: lambda bits: [1] * len(bits)),
     (verify.LAWS, stats, "diameter_pmf", lambda f: lambda n, d: f(n, d + 1)),
     (verify.LAWS, stats, "coin_stats",
@@ -90,11 +102,16 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "check, module, name, mutate",
-    MUTANTS,
-    ids=[f"{m.__name__.rsplit('.', 1)[-1]}.{name}" for _, m, name, _ in MUTANTS],
-)
+def _mutant_ids() -> list[str]:
+    """module.routine; a routine mutated for a second check also names that check."""
+    ids = []
+    for check, module, name, _ in MUTANTS:
+        routine = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        ids.append(f"{routine}-{check.label.split()[0]}" if routine in ids else routine)
+    return ids
+
+
+@pytest.mark.parametrize("check, module, name, mutate", MUTANTS, ids=_mutant_ids())
 def test_a_broken_routine_is_reported(monkeypatch, check, module, name, mutate):
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     checked, failures = check.sweep(7)
