@@ -54,19 +54,16 @@ def _spaced(values) -> str:
     return " ".join(map(str, values))
 
 
-def _write(fmt: str, doc, table, lines) -> None:
+def _write(fmt: str, doc: dict, table, lines) -> None:
     """Print one projection of a result: the only branch on ``--format``.
 
-    ``doc`` is the JSON document, a dict (see :func:`_json_pieces`) or an
-    already serialised string; ``table`` is ``(header, rows)``; ``rows``
-    and ``lines`` are iterables, consumed only when their format is asked
-    for, so all three may read the same one-shot iterator.
+    ``doc`` is the JSON document, a dict (see :func:`_json_pieces`);
+    ``table`` is ``(header, rows)``; ``rows`` and ``lines`` are iterables,
+    consumed only when their format is asked for, so all three may read
+    the same one-shot iterator.
     """
     if fmt == "json":
-        if isinstance(doc, str):
-            print(doc)
-        else:
-            sys.stdout.writelines(_json_pieces(doc))
+        sys.stdout.writelines(_json_pieces(doc))
     elif fmt == "csv":
         header, rows = table
         writer = csv.writer(sys.stdout)
@@ -93,12 +90,18 @@ def _cmd_count(args) -> int:
         value = counting.forest_count(args.n, args.m)
     else:
         value = counting.forest_total(args.n)
-    doc = {"schema": SCHEMA, "what": args.what, "n": args.n, "count": str(value)}
+    limit = sys.get_int_max_str_digits()  # 4300 digits by default; a count may run past it
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    doc = {"schema": SCHEMA, "what": args.what, "n": args.n, "count": digits}
     if args.m is not None:
         doc["m"] = args.m
     m = "" if args.m is None else args.m
-    _write(args.format, doc, (("n", "what", "m", "count"), [(args.n, args.what, m, value)]),
-           [value])
+    _write(args.format, doc, (("n", "what", "m", "count"), [(args.n, args.what, m, digits)]),
+           [digits])
     return 0
 
 
@@ -211,7 +214,7 @@ def _cmd_stats(args) -> int:
     lines = chain((f"{t['name']}: value={t['value']:.6g} limit={t['limit']:.6g} "
                    f"{'pass' if t['pass'] else 'FAIL'}" for t in report.tests),
                   [f"verdict: {report.verdict}"])
-    _write(args.format, report.to_json(), table, lines)
+    _write(args.format, vars(report), table, lines)
     return 0 if report.passed else 1
 
 

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import ne
 from typing import Callable
 
 from . import codec, counting, cover, perm, stats, structure
@@ -102,38 +102,34 @@ def cover_agrees(code: codec.TreeCode) -> bool:
 
 
 def _decomposition_ok(code: codec.TreeCode) -> bool:
-    terms = cover.gamma_decomposition(code)  # raises when its terms miss the formula
-    return terms.total == cover.gamma_formula(codec.decode(code))
+    """The run terms, read from the code alone, sum to the formula on the tree."""
+    return cover.gamma_decomposition(code).total == cover.gamma_formula(codec.decode(code))
 
 
 def _laws(n: int) -> tuple[int, int]:
     """Leaf and diameter laws, max degree = 2 + longest tail run, degree coupling.
 
-    A failure is a code whose degrees and blocks do not couple, a value of
-    the leaf or diameter law that the tally misses, or a max-degree
-    histogram that is not twice the tail-run histogram of n - 3 tosses.
+    A failure is a code whose degrees and blocks do not couple or whose
+    maximum degree is not 2 + the longest tail run of its own n - 3 tosses,
+    or a value of the leaf or diameter law that the tally misses.  Checked
+    on every code, the max-degree identity carries the law of the maximum
+    degree over from the tail-run law of fair tosses.
     """
     total = codec.count_trees(n)
-    leaves, diameters, max_degrees = Counter(), Counter(), Counter()
+    leaves, diameters = Counter(), Counter()
 
     def tally(code: codec.TreeCode) -> bool:
         s = stats.tree_stats(codec.decode(code))
         leaves[s.leaves] += 1
         diameters[s.diameter] += 1
-        max_degrees[s.max_degree] += 1
-        return stats.coupled_tree_stats_equivalence(code)
+        bits = code.bits
+        longest = stats.coin_stats(list(map(ne, bits, bits[1:]))).longest_tail_run
+        return s.max_degree == 2 + longest and stats.coupled_tree_stats_equivalence(code)
 
     failures = sum(not _holds(tally, code) for code in codec.enumerate_codes(n))
     for k in range(2, n):
         failures += Fraction(leaves[k], total) != stats.leaves_pmf(n, k)
         failures += Fraction(diameters[k], total) != stats.diameter_pmf(n, k)
-    if n >= 4:
-        runs = Counter(
-            2 + stats.coin_stats(tosses).longest_tail_run
-            for tosses in product((False, True), repeat=n - 3)
-        )
-        # two codes per toss sequence: the first symbol is free
-        failures += max_degrees != Counter({v: 2 * c for v, c in runs.items()})
     return total, failures
 
 

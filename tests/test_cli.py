@@ -13,6 +13,9 @@ import pytest
 
 import permtree
 from permtree.cli import main
+from permtree.codec import count_trees
+from permtree.counting import forest_total
+from permtree.montecarlo import REGISTRY, ExperimentConfig, run_experiment
 
 
 @pytest.fixture()
@@ -42,6 +45,29 @@ def test_count_forests_with_m(run):
     assert json.loads(out)["count"] == "5"
     code, out, _ = run("count", "--what", "forests", "--n", "4", "--format", "text")
     assert out.strip() == "13"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("what, n, exact", [("trees", 20000, count_trees),
+                                            ("forests", 12000, forest_total)])
+def test_count_prints_every_digit(run, fmt, what, n, exact):
+    """Counts past the interpreter's 4300-digit conversion cap print exactly."""
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run("count", "--what", what, "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        digits = json.loads(out)["count"]
+    elif fmt == "csv":
+        digits = list(csv.reader(io.StringIO(out)))[1][3]
+    else:
+        digits = out.strip()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert digits == str(exact(n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > 4300
 
 
 def test_count_indecomposable(run):
@@ -119,9 +145,10 @@ def test_theory_agrees_with_stats_at_n2(run, stat, value):
 
 
 def test_theory_missing_parameter(run):
-    code, _, err = run("theory", "--stat", "ystar", "--n", "100")
-    assert code == 2
-    assert "error" in err
+    for stat, flag in (("ystar", "--k"), ("maxdeg", "--k"), ("runs", "--q")):
+        code, _, err = run("theory", "--stat", stat, "--n", "100")
+        assert code == 2
+        assert f"needs {flag}" in err
 
 
 def test_stats_runs_and_exit_code(run):
@@ -139,6 +166,17 @@ def test_stats_byte_identical(run):
     a = run(*argv)
     b = run(*argv)
     assert a == b
+
+
+@pytest.mark.parametrize("statistic", list(REGISTRY))
+def test_stats_json_is_the_report_json(run, statistic):
+    """One JSON writer: ``stats`` prints ``to_json()`` for every report shape."""
+    q = 0.5 if "q" in REGISTRY[statistic].params else None
+    argv = ["stats", "--stat", REGISTRY[statistic].cli_name, "--n", "12", "--samples", "40",
+            "--seed", "3", *(["--q", str(q)] if q is not None else [])]
+    _, out, _ = run(*argv)
+    config = ExperimentConfig(n=12, samples=40, seed=3, statistic=statistic, q=q)
+    assert out == run_experiment(config).to_json() + "\n"
 
 
 def test_stats_text_format(run):

@@ -1,6 +1,8 @@
 """Insertion bijection: decode/encode roundtrips, counting, sampling."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from permtree.codec import (
     count_trees,
     decode,
     encode,
+    enumerate_codes,
     enumerate_trees,
+    sample_code,
 )
 from permtree.errors import CapExceededError, NotATreeError
 from permtree.perm import Permutation, build_graph, is_tree_permutation
@@ -43,6 +47,9 @@ def test_treecode_validation_and_packing():
         with pytest.raises(TypeError):
             TreeCode(bad_n, (1, 0))
     assert TreeCode(np.int64(4), (1, 0)).n == 4
+    with pytest.raises(AttributeError, match="immutable"):
+        c.n = 6
+    assert c.n == 5
     with pytest.raises(ValueError):
         TreeCode.from_packed(4, 4)
     with pytest.raises(ValueError):
@@ -53,6 +60,18 @@ def test_treecode_validation_and_packing():
             code = TreeCode.from_packed(n, value)
             assert code.packed == value
             assert code.bits == tuple((value >> j) & 1 for j in range(n - 2))
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (TreeCode, (0, ()), "code length parameter n must be >= 1"),
+    (count_trees, (0,), "n must be >= 1"),
+    (enumerate_codes, (0,), "n must be >= 1"),
+    (sample_code, (0, np.random.default_rng(0)), "n must be >= 1"),
+], ids=["TreeCode", "count_trees", "enumerate_codes", "sample_code"])
+def test_sizes_below_one_are_refused(call, args, message):
+    # each guard's own message: without it n = 0 yields a value or another error
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 def test_insertions_examples():

@@ -16,6 +16,12 @@ from permtree.counting import (
 from permtree.errors import CapExceededError
 
 
+@pytest.mark.parametrize("count", [indecomposable_count, forest_total, census])
+def test_sizes_below_one_are_refused(count):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        count(0)
+
+
 def test_indecomposable_examples():
     assert indecomposable_count(1) == 1
     assert indecomposable_count(2) == 1

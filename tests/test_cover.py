@@ -1,10 +1,12 @@
 """Cover numbers: route agreement, decomposition, theory."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from permtree import verify
+from permtree import cover, verify
 from permtree.codec import (
     TreeCode,
     count_trees,
@@ -137,8 +139,20 @@ def test_gamma_decomposition_star_and_path():
 def test_gamma_decomposition_random_large():
     rng = np.random.default_rng(12345)
     for _ in range(5):
-        bits = rng.integers(0, 2, size=9998).tolist()
-        gamma_decomposition(TreeCode(10_000, bits))  # internal assert
+        code = TreeCode(10_000, rng.integers(0, 2, size=9998).tolist())
+        assert gamma_decomposition(code).total == gamma_formula(decode(code))
+
+
+def test_gamma_decomposition_reads_the_code_alone(monkeypatch):
+    codes = list(enumerate_codes(8))
+    terms = [gamma_decomposition(code) for code in codes]
+
+    def no_graph_route(*args):
+        raise AssertionError("the decomposition builds no tree")
+
+    monkeypatch.setattr(cover, "gamma_formula", no_graph_route)
+    monkeypatch.setattr(cover, "build_graph", no_graph_route)
+    assert [gamma_decomposition(code) for code in codes] == terms
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -153,6 +167,16 @@ def test_batch_gamma_matches_formula_exhaustive(n):
             [code.bits[i] != code.bits[i + 1] for i in range(len(code.bits) - 1)]
         )
         assert g == gamma_code(code)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (gamma_decomposition, (TreeCode(3, (0,)),), "decomposition needs n >= 4"),
+    (gamma_from_tosses, ([],), "need at least one toss (trees of size >= 4)"),
+    (gamma_theory, (0,), "n must be >= 1"),
+], ids=["gamma_decomposition", "gamma_from_tosses", "gamma_theory"])
+def test_sizes_below_the_domain_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 def test_gamma_theory_values():

@@ -53,6 +53,12 @@ def test_config_validation():
         ExperimentConfig(n=3, samples=10, seed=1, statistic="gamma")
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(n=10, samples=10, seed=1, statistic="dcov", m=9)
+    with pytest.raises(InvalidConfigError, match="substream index space"):
+        ExperimentConfig(n=10, samples=(1 << 56) + 1, seed=1, statistic="leaves")
+    with pytest.raises(InvalidConfigError, match="workers must be >= 1"):
+        ExperimentConfig(n=10, samples=10, seed=1, statistic="leaves", workers=0)
+    with pytest.raises(InvalidConfigError, match="at least 2 samples"):
+        ExperimentConfig(n=10, samples=1, seed=1, statistic="dcov")
     # names other than the canonical ones are rejected, not aliased
     for name in ("diameter", "degree_census", "runs"):
         with pytest.raises(InvalidConfigError):

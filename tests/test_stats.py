@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -43,6 +44,24 @@ from conftest import coupled, edge_list, tree_diameter_bfs
 
 def all_toss_sequences(length):
     return product((False, True), repeat=length)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (coupled_tree_stats_equivalence, (TreeCode(2, ()),), "coupling needs n >= 3"),
+    (leaves_pmf, (2, 2), "leaf law needs n >= 3"),
+    (maxdeg_cdf_approx, (3, 0), "max-degree law needs n >= 4"),
+    (y_star_moments, (10, 0), "window parameter k must be >= 1"),
+    (expected_block_count, (2, 1), "block law needs n >= 3"),
+    (expected_degree_count, (2, 1), "degree law needs n >= 3"),
+    (sigma_entry, (0, 1), "indices must be >= 1"),
+    (sigma_entry, (1, 0), "indices must be >= 1"),
+    (geometric_runs, (0, 0.5), "n must be >= 1"),
+], ids=["coupling", "leaves_pmf", "maxdeg_cdf_approx", "y_star_moments", "expected_block_count",
+        "expected_degree_count", "sigma_entry_i", "sigma_entry_j", "geometric_runs"])
+def test_arguments_outside_a_law_are_refused(call, args, message):
+    # each guard's own message: without it the call returns a value or fails otherwise
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 def test_tree_stats_examples():

@@ -95,6 +95,9 @@ MUTANTS = [
     # the three graph routes share the block adjacency
     (verify.COVER, structure, "adjacency_via_blocks", _drop_first_neighbour),
     (verify.DECOMPOSITION, cover, "run_lengths", lambda f: lambda bits: [1] * len(bits)),
+    # the decomposition no longer checks its own sum: the sweep must catch a wrong term
+    (verify.DECOMPOSITION, cover, "gamma_decomposition",
+     lambda f: lambda code: dataclasses.replace(f(code), boundary=f(code).boundary + 1)),
     (verify.LAWS, stats, "diameter_pmf", lambda f: lambda n, d: f(n, d + 1)),
     (verify.LAWS, stats, "coin_stats",
      lambda f: lambda seq: dataclasses.replace(f(seq), longest_tail_run=0)),
