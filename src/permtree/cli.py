@@ -24,6 +24,13 @@ from .errors import CapExceededError, InvalidConfigError
 # --stat choices, read when the parser is built: no REGISTRY (and numpy) import for them
 THEORY_STATS = ("gamma", "leaves", "diam", "maxdeg", "ystar", "runs", "dcov")
 SAMPLED_STATS = ("leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs")
+# The largest n each exact evaluation accepts.  At its bound the slowest call
+# takes a few seconds (2 s or less cold on a 2-core machine, 3 s for
+# forests --m and theory --k, worst m and k); above it the request is a usage
+# error instead of a traceback or a run that does not end.
+COUNT_MAX_N = {"trees": 10**6, "forests": 10**5, "indecomposable": 700}
+FOREST_M_MAX_N = 10**4  # count --what forests --m
+PMF_MAX_N = 5 * 10**5  # theory --stat leaves|diam --k
 
 
 def _json(obj) -> str:
@@ -82,6 +89,12 @@ def _write(fmt: str, doc: dict, table, lines) -> None:
 def _cmd_count(args) -> int:
     if args.m is not None and args.what != "forests":
         raise InvalidConfigError("--m applies to --what forests only")
+    if args.m is not None:
+        what, bound = "forests --m", FOREST_M_MAX_N
+    else:
+        what, bound = args.what, COUNT_MAX_N[args.what]
+    if args.n > bound:
+        raise InvalidConfigError(f"count --what {what} refuses n above {bound}")
     if args.what == "trees":
         value = codec.count_trees(args.n)
     elif args.what == "indecomposable":
@@ -241,6 +254,8 @@ def _cmd_theory(args) -> int:
         mean, variance = stats.scalar_law_moments(name, n)
         payload = {"mean": mean, "variance": variance}
         if args.k is not None:
+            if n > PMF_MAX_N:
+                raise InvalidConfigError(f"theory --stat {name} --k refuses n above {PMF_MAX_N}")
             law = stats.leaves_pmf if name == "leaves" else stats.diameter_pmf
             at_k = args.k == stats.N2_VALUES[name] if n == 2 else law(n, args.k)
             payload["pmf_at_k"] = float(at_k)

@@ -127,8 +127,14 @@ def decode(code: TreeCode) -> Permutation:
     (3, 1, 2)
     >>> decode(TreeCode(4, (1, 0))).values
     (2, 4, 1, 3)
+
+    The result records ``code.bits`` as its source, so :func:`code_flags`
+    on it reads the flags off the values but does not decode them again
+    when they equal that source.
     """
-    return Permutation(_decode_values(code.n, code.bits))
+    perm = Permutation(_decode_values(code.n, code.bits))
+    object.__setattr__(perm, "_source", code.bits)
+    return perm
 
 
 def code_flags(perm: Permutation) -> list[int]:
@@ -141,8 +147,14 @@ def code_flags(perm: Permutation) -> list[int]:
     ``perm`` exactly when ``perm`` is a tree; otherwise raises
     :class:`NotATreeError`.
 
+    When :func:`decode` built ``perm`` from code bits equal to the flags,
+    that decode is this check: decoding the flags would decode the same
+    bits again.  So the flags are always read off the values, and only
+    their decode is skipped; flags that differ from the source, and every
+    permutation that :func:`decode` did not build, get the full check.
+
     A checked code is kept on ``perm``, so a later call on the same object
-    returns a copy without decoding again; only this check fills it.
+    returns a copy without reading the values again; only this check fills it.
 
     >>> code_flags(Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10]))
     [1, 0, 0, 1, 1, 1, 0, 0, 0]
@@ -159,9 +171,10 @@ def code_flags(perm: Permutation) -> list[int]:
             flags.append(1)
         else:
             flags.append(0)
-    if _decode_values(perm.n, flags) != list(w):
+    code = tuple(flags)
+    if code != getattr(perm, "_source", None) and _decode_values(perm.n, flags) != list(w):
         raise NotATreeError(f"inversion graph of {perm} is not a tree")
-    object.__setattr__(perm, "_code", tuple(flags))
+    object.__setattr__(perm, "_code", code)
     return flags
 
 

@@ -16,8 +16,11 @@ every edge of the tree ("covering set" below).  Three routes:
 
 On top of these, the cover number decomposes into run statistics of the
 coupled coin sequence, which is what makes its distribution tractable and
-powers the vectorized kernel in montecarlo; :func:`gamma_code` reads it
-from the code alone (:func:`gamma_from_tosses`), a fourth route.  The four
+powers the vectorized kernel in montecarlo.  :func:`gamma_code` reads it
+from the code alone, a fourth route: a few whole-int operations on the
+packed code, with the toss loop :func:`gamma_from_tosses` as its scalar
+oracle.  The three graph routes take an adjacency in
+:func:`~permtree.perm.build_graph`'s format and only read it.  The four
 must agree on every tree permutation: ``verify.COVER`` checks this
 exhaustively at small sizes and the acceptance tests on large random samples.
 """
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import import_module
-from operator import ne
 from typing import Sequence
 
 from .codec import TreeCode
@@ -42,7 +44,9 @@ class CoverResult:
     size: int
 
 
-def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = None) -> CoverResult:
+def marking_algorithm(
+    perm: Permutation, adjacency: list[tuple[int, ...]] | None = None
+) -> CoverResult:
     """Recursive leaf-neighbor marking; returns the marked set.
 
     Each round works on the forest left by the previous round: every
@@ -94,7 +98,7 @@ def marking_algorithm(perm: Permutation, adjacency: list[list[int]] | None = Non
     return CoverResult(frozenset(chosen), len(chosen))
 
 
-def gamma_formula(perm: Permutation, adjacency: list[list[int]] | None = None) -> int:
+def gamma_formula(perm: Permutation, adjacency: list[tuple[int, ...]] | None = None) -> int:
     """Caterpillar closed form k + sum floor(n_i / 2).
 
     The k special vertices are the spine endpoints together with every
@@ -125,7 +129,7 @@ def gamma_formula(perm: Permutation, adjacency: list[list[int]] | None = None) -
     return total
 
 
-def min_cover_oracle(perm: Permutation, adjacency: list[list[int]] | None = None) -> int:
+def min_cover_oracle(perm: Permutation, adjacency: list[tuple[int, ...]] | None = None) -> int:
     """Exact minimizer of the edge-meeting criterion by tree dynamic programming.
 
     Roots the tree at letter 1; per vertex keeps the best size with the
@@ -254,13 +258,42 @@ def gamma_from_tosses(heads: Sequence[bool]) -> int:
 
 
 def gamma_code(code: TreeCode) -> int:
-    """Cover number of ``decode(code)`` without building the tree."""
-    if code.n < 2:
+    """Cover number of ``decode(code)`` without building the tree.
+
+    The fold of :func:`gamma_from_tosses`, taken on whole ints: toss i is
+    bit i of H = code ^ (code >> 1), a head when set.  Bit i of T & ~(T << 1),
+    where T is the tails (H's complement in n - 3 bits), marks a tail run
+    starting at toss i.  For the head offsets, let S be the head-run
+    starts and A = (2^(n-3) - 1) // 3 = 0b...0101, every other toss.  Adding S & A
+    to H carries through exactly the runs that start on A, so
+    H & ~(H + (S & A)) is those runs.  A head's offset is odd when it has
+    the parity of its run's start, so the odd offsets >= 3 are the heads on
+    A in those runs and the heads off A in the others, less the starts.
+    ``gamma_from_tosses`` stays as the scalar oracle of this fold.
+
+    >>> gamma_code(TreeCode(8, (1, 0, 1, 0, 1, 0)))   # all heads: the path on 8 letters
+    4
+    """
+    n = code.n
+    if n < 2:
         return 0
-    if code.n < 4:
+    if n < 4:
         return 1
-    bits = code.bits
-    return gamma_from_tosses(list(map(ne, bits, bits[1:])))
+    length = n - 3
+    mask = (1 << length) - 1
+    b = code.packed
+    heads = (b ^ (b >> 1)) & mask
+    tails = mask ^ heads
+    starts = heads & ~(heads << 1)
+    alternate = mask // 3
+    on_alternate = heads & ~(heads + (starts & alternate))
+    odd_offsets = ((on_alternate & alternate) | ((heads ^ on_alternate) & ~alternate)) & ~starts
+    return (
+        (tails & ~(tails << 1)).bit_count()
+        + odd_offsets.bit_count()
+        + (heads & 1)
+        + (heads >> (length - 1))
+    )
 
 
 def gamma_theory(n: int) -> Moments:

@@ -50,8 +50,10 @@ class Permutation:
     """
 
     # _code holds the tree code once codec.code_flags has checked it against
-    # ``values``; it is unset on a non-tree and takes no part in equality
-    __slots__ = ("values", "_code")
+    # ``values``; it is unset on a non-tree.  _source holds the code bits that
+    # codec.decode built ``values`` from, and is unset on every other
+    # permutation.  Neither takes part in equality or hashing.
+    __slots__ = ("values", "_code", "_source")
 
     def __init__(self, values: Iterable[int]):
         vals = int_entries(values)
@@ -113,16 +115,16 @@ def inversion_count(perm: Permutation) -> int:
     return total
 
 
-def build_graph(perm: Permutation) -> list[list[int]]:
-    """Inversion graph of ``perm`` as ascending neighbour lists by letter.
+def build_graph(perm: Permutation) -> list[tuple[int, ...]]:
+    """Inversion graph of ``perm`` as ascending neighbour tuples by letter.
 
-    Entry v lists the neighbours of letter v; entry 0 is unused.  The
-    sweep keeps the letters seen so far in sorted order; at each new
+    Entry v holds the neighbours of letter v; entry 0 is unused and empty.
+    The sweep keeps the letters seen so far in sorted order; at each new
     letter the tail of larger seen letters gives exactly its inversion
     partners, so the cost is O(n * insert + edge count).
 
     >>> build_graph(Permutation([2, 4, 1, 3]))
-    [[], [2, 4], [1], [4], [1, 3]]
+    [(), (2, 4), (1,), (4,), (1, 3)]
     """
     adj: list[list[int]] = [[] for _ in range(perm.n + 1)]
     seen: list[int] = []
@@ -132,9 +134,7 @@ def build_graph(perm: Permutation) -> list[list[int]]:
             adj[u].append(v)
             adj[v].append(u)
         insort(seen, v)
-    for nbrs in adj:
-        nbrs.sort()
-    return adj
+    return [tuple(sorted(nbrs)) for nbrs in adj]
 
 
 def is_indecomposable(perm: Permutation) -> bool:

@@ -73,7 +73,7 @@ class TreeStats:
     degree_census: DegreeCensus
 
 
-def _bfs_farthest(adj: list[list[int]], src: int) -> tuple[int, int]:
+def _bfs_farthest(adj: list[tuple[int, ...]], src: int) -> tuple[int, int]:
     dist = [-1] * len(adj)
     dist[src] = 0
     frontier = [src]

@@ -54,42 +54,47 @@ def neighbors_via_blocks(perm: Permutation, pos: int) -> set[int]:
     return set(adjacency_via_blocks(perm)[v])
 
 
-def adjacency_via_blocks(perm: Permutation) -> list[list[int]]:
-    """Full adjacency (indexed by letter, entry 0 unused) in O(n).
+def adjacency_via_blocks(perm: Permutation) -> list[tuple[int, ...]]:
+    """Full adjacency (indexed by letter, entry 0 unused and empty) in O(n).
 
-    Builds each list whole from the maxima-side cases, which cover the
+    Builds each entry whole from the maxima-side cases, which cover the
     edge set exactly once: leaves of a maxima block attach to the first
     letter of the next block (the hub), and the last letter of a maxima
     block takes the whole next block plus the first letter of the block
     three further on.  So a hub meets the previous pair's last maximum,
     its leaves and its own last maximum, in that order.  Both sides
-    increase left to right, so every list comes out ascending.
+    increase left to right, so every entry comes out ascending, as a
+    tuple in :func:`~permtree.perm.build_graph`'s format.  The leaves of
+    one hub share one ``(hub,)`` entry, and so do the later letters of a
+    rest block, which all meet its pair's last maximum.
     """
     n = perm.n
     starts = blocks(perm)
     if n == 1:
-        return [[], []]
+        return [(), ()]
     # the pairs of blocks cover every position, so the loop fills every slot
-    adj: list[list[int]] = [[]] + [None] * n
+    adj: list[tuple[int, ...]] = [()] + [None] * n
     w = perm.values
     last = len(starts) - 1
-    before: list[int] = []  # the previous pair's last maximum, which the hub also meets
+    before: tuple[int, ...] = ()  # the previous pair's last maximum, which the hub also meets
     for t in range(0, last, 2):
         a, b, c = starts[t], starts[t + 1], starts[t + 2]
         tail, hub = w[b - 2], w[b - 1]
         leaves = w[a - 1 : b - 2]
+        hub_only = (hub,)
         for v in leaves:
-            adj[v] = [hub]
-        adj[hub] = [*before, *leaves, tail]
+            adj[v] = hub_only
+        adj[hub] = (*before, *leaves, tail)
         rest = w[b - 1 : c - 1]
+        tail_only = (tail,)
         for v in rest[1:]:
-            adj[v] = [tail]
-        adj[tail] = [*rest, w[starts[t + 3] - 1]] if t + 3 < last else list(rest)
-        before = [tail]
+            adj[v] = tail_only
+        adj[tail] = (*rest, w[starts[t + 3] - 1]) if t + 3 < last else rest
+        before = tail_only
     return adj
 
 
-def ordered_spine(adjacency: list[list[int]], n: int, first_letter: int) -> tuple[int, ...]:
+def ordered_spine(adjacency: list[tuple[int, ...]], n: int, first_letter: int) -> tuple[int, ...]:
     """Walk the nonleaf vertices as a path, starting at the low end.
 
     ``adjacency`` is indexed by letter with entry 0 unused.  The start is

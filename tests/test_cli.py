@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import permtree
-from permtree.cli import main
+from permtree.cli import COUNT_MAX_N, FOREST_M_MAX_N, PMF_MAX_N, main
 from permtree.codec import count_trees
 from permtree.counting import forest_total
 from permtree.montecarlo import REGISTRY, ExperimentConfig, run_experiment
@@ -244,6 +244,36 @@ def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+BIG = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("count", "--what", what, "--n", str(bound + 1)) for what, bound in COUNT_MAX_N.items()),
+        ("count", "--what", "forests", "--n", str(FOREST_M_MAX_N + 1), "--m", "2"),
+        ("theory", "--stat", "leaves", "--n", str(PMF_MAX_N + 1), "--k", "3"),
+        ("theory", "--stat", "diam", "--n", str(PMF_MAX_N + 1), "--k", "3"),
+        # a traceback or a run without end before the bounds
+        ("count", "--what", "trees", "--n", BIG),
+        ("count", "--what", "indecomposable", "--n", BIG),
+        ("count", "--what", "forests", "--n", BIG),
+        ("count", "--what", "forests", "--n", BIG, "--m", "1"),
+        ("theory", "--stat", "leaves", "--n", BIG, "--k", "3"),
+        ("theory", "--stat", "diam", "--n", BIG, "--k", "3"),
+    ],
+)
+def test_sizes_above_the_bounds_are_refused(run, argv):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "refuses n above" in err
+
+
+def test_the_bounds_refuse_only_what_they_name(run):
+    assert run("theory", "--stat", "leaves", "--n", BIG)[0] == 0
+    assert run("count", "--what", "forests", "--n", str(FOREST_M_MAX_N + 1))[0] == 0
 
 
 def test_verify_json(run):

@@ -93,7 +93,7 @@ def test_insertions_preserve_treeness_and_deficit():
             assert q2.m == 1
             # first kind: new letter is a leaf adjacent to the old last letter
             g1 = build_graph(q1)
-            assert g1[n + 1] == [p.values[-1]]
+            assert g1[n + 1] == (p.values[-1],)
             # second kind: {n, n+1} is an edge
             g2 = build_graph(q2)
             assert n in g2[n + 1]
@@ -138,13 +138,19 @@ def test_a_permutation_code_is_decoded_once(monkeypatch):
         codec, "_decode_values", lambda n, bits: calls.append(n) or decode_values(n, bits)
     )
     code = TreeCode(9, (1, 0, 0, 1, 1, 0, 1))
-    # the round trip decodes the code, then checks the flags read off the values
+    # the round trip decodes the code and reads the flags off the values;
+    # they equal the code decode recorded, so their decode is that one
     assert encode(decode(code)) == code
-    assert len(calls) == 2
+    assert len(calls) == 1
     p = decode(code)
     calls.clear()
     adjacency_via_blocks(p)
     assert encode(p) == code
+    assert len(calls) == 0
+    # a permutation that decode did not build gets the full check, once
+    fresh = Permutation(p.values)
+    adjacency_via_blocks(fresh)
+    assert encode(fresh) == code
     assert len(calls) == 1
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from permtree import cover, verify
+from permtree import codec, cover, verify
 from permtree.codec import (
     TreeCode,
     count_trees,
@@ -153,6 +153,29 @@ def test_gamma_decomposition_reads_the_code_alone(monkeypatch):
     monkeypatch.setattr(cover, "gamma_formula", no_graph_route)
     monkeypatch.setattr(cover, "build_graph", no_graph_route)
     assert [gamma_decomposition(code) for code in codes] == terms
+
+
+def test_packed_gamma_code_equals_the_toss_loop(monkeypatch):
+    """The whole-int fold equals ``gamma_from_tosses`` on every code for
+    n = 4..18 and on seeded codes up to n = 10^5, building no tree."""
+
+    def no_tree(*args):
+        raise AssertionError("gamma_code builds no tree")
+
+    for module, name in ((cover, "build_graph"), (cover, "ordered_spine"), (codec, "_decode_values")):
+        monkeypatch.setattr(module, name, no_tree)
+
+    def toss_loop(code):
+        bits = code.bits
+        return gamma_from_tosses([a != b for a, b in zip(bits, bits[1:])])
+
+    for n in range(4, 19):
+        assert [c for c in enumerate_codes(n) if gamma_code(c) != toss_loop(c)] == []
+    rng = np.random.default_rng(0x6A3)
+    for n in (10**3, 10**4, 10**5):
+        for _ in range(3):
+            code = sample_code(n, rng)
+            assert gamma_code(code) == toss_loop(code)
 
 
 @pytest.mark.parametrize("n", range(4, 13))

@@ -74,13 +74,13 @@ def test_inversions_examples():
     assert edge_list(build_graph(Permutation([3, 1, 2]))) == [(1, 3), (2, 3)]
     # Inversion set whose graph has N(5) = {1,3,4} and N(4) = {5,6,7,11}.
     g = build_graph(Permutation([2, 5, 1, 3, 6, 7, 11, 4, 8, 9, 10]))
-    assert g[5] == [1, 3, 4]
-    assert g[4] == [5, 6, 7, 11]
+    assert g[5] == (1, 3, 4)
+    assert g[4] == (5, 6, 7, 11)
 
 
 def test_build_graph_examples():
-    assert build_graph(Permutation([1])) == [[], []]
-    assert build_graph(Permutation([2, 1])) == [[], [2], [1]]
+    assert build_graph(Permutation([1])) == [(), ()]
+    assert build_graph(Permutation([2, 1])) == [(), (2,), (1,)]
     assert edge_list(build_graph(Permutation([2, 3, 4, 1]))) == [(1, 2), (1, 3), (1, 4)]
     assert edge_list(build_graph(Permutation([2, 4, 1, 3]))) == [(1, 2), (1, 4), (3, 4)]
 
@@ -94,10 +94,10 @@ def test_graph_matches_naive_inversions(n):
         assert set(edges) == naive_edges(vals)
         assert len(edges) == len(naive_inversions(vals))
         assert inversion_count(p) == len(edges)
-        # one list per letter, entry 0 unused; symmetric, ascending, no duplicates
-        assert len(g) == n + 1 and g[0] == []
+        # one tuple per letter, entry 0 unused; symmetric, ascending, no duplicates
+        assert len(g) == n + 1 and g[0] == ()
         for v, nbrs in enumerate(g):
-            assert nbrs == sorted(set(nbrs))
+            assert nbrs == tuple(sorted(set(nbrs)))
             for u in nbrs:
                 assert v in g[u]
 

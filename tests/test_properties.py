@@ -54,7 +54,7 @@ def test_block_shortcuts_equal_the_inversion_graph(code):
     p = decode(code)
     g = build_graph(p)
     assert adjacency_via_blocks(p) == g
-    assert g[0] == [] and len(g) == p.n + 1
+    assert g[0] == () and len(g) == p.n + 1
     assert coupled_tree_stats_equivalence(code)
 
 

@@ -67,6 +67,15 @@ def test_blocks_structure_invariants():
                 assert letters == sorted(letters)
 
 
+def test_leaves_of_one_neighbour_share_their_entry():
+    # a star: the leaves 2, 3 and 4 of the hub 1 share one (1,)
+    star = adjacency_via_blocks(Permutation([2, 3, 4, 5, 1]))
+    assert star[2] == (1,) and star[2] is star[3] is star[4]
+    # the later letters 2 and 3 of a rest block share its pair's last maximum
+    rest = adjacency_via_blocks(Permutation([4, 1, 2, 3]))
+    assert rest[2] == (4,) and rest[2] is rest[3]
+
+
 def test_block_shortcuts_reject_non_trees():
     for values in ([3, 2, 1], [1, 2], [2, 1, 4, 3], [3, 4, 1, 2]):
         p = Permutation(values)

@@ -82,6 +82,8 @@ MUTANTS = [
     # a forest test that drops the 3412 half
     (verify.CENSUS, counting, "is_forest", lambda f: lambda p: not perm.pattern_flags(p)[0]),
     (verify.ROUNDTRIP, codec, "encode", lambda f: lambda p: TreeCode.from_packed(p.n, 0)),
+    # a wrong decode: its values' flags differ from the code, which decode recorded
+    (verify.ROUNDTRIP, codec, "_decode_values", lambda f: lambda n, bits: f(n, bits)[::-1]),
     # a code not read off the values: the round trip must re-read them to catch it
     (verify.ROUNDTRIP, codec, "code_flags", lambda f: lambda p: [0] * max(p.n - 2, 0)),
     (verify.ADJACENCY, perm, "build_graph", lambda f: lambda p: [nbrs[:-1] for nbrs in f(p)]),
