@@ -26,10 +26,9 @@ THEORY_STATS = ("gamma", "leaves", "diam", "maxdeg", "ystar", "runs", "dcov")
 SAMPLED_STATS = ("leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs")
 # The largest n each exact evaluation accepts.  At its bound the slowest call
 # takes a few seconds (2 s or less cold on a 2-core machine, 3 s for
-# forests --m and theory --k, worst m and k); above it the request is a usage
-# error instead of a traceback or a run that does not end.
+# theory --k, worst m and k); above it the request is a usage error instead
+# of a traceback or a run that does not end.
 COUNT_MAX_N = {"trees": 10**6, "forests": 10**5, "indecomposable": 700}
-FOREST_M_MAX_N = 10**4  # count --what forests --m
 PMF_MAX_N = 5 * 10**5  # theory --stat leaves|diam --k
 
 
@@ -89,12 +88,9 @@ def _write(fmt: str, doc: dict, table, lines) -> None:
 def _cmd_count(args) -> int:
     if args.m is not None and args.what != "forests":
         raise InvalidConfigError("--m applies to --what forests only")
-    if args.m is not None:
-        what, bound = "forests --m", FOREST_M_MAX_N
-    else:
-        what, bound = args.what, COUNT_MAX_N[args.what]
+    bound = COUNT_MAX_N[args.what]
     if args.n > bound:
-        raise InvalidConfigError(f"count --what {what} refuses n above {bound}")
+        raise InvalidConfigError(f"count --what {args.what} refuses n above {bound}")
     if args.what == "trees":
         value = codec.count_trees(args.n)
     elif args.what == "indecomposable":

@@ -57,9 +57,10 @@ def forest_total(n: int) -> int:
 def forest_count(n: int, m: int) -> int:
     """Number of forest permutations with n letters and exactly m components.
 
-    The m-th power of the tree generating function y + y^2/(1-2y) expands
-    into the binomial convolution below; the identity permutation is the
-    unique inversion-free permutation, so f(n, n) = 1.
+    The m-th power of the tree generating function y + y^2/(1-2y) sums
+    C(m, k) C(n-m-1, k-1) 2^(n-m-k) over k; each term is the one before it
+    times (m-k)(n-m-k) / (2k(k+1)), its 2 taken by a Horner shift.  The
+    identity permutation is the unique inversion-free one: f(n, n) = 1.
 
     >>> forest_count(4, 2)
     5
@@ -70,10 +71,11 @@ def forest_count(n: int, m: int) -> int:
         raise ValueError("need 1 <= m <= n")
     if m == n:
         return 1
-    return sum(
-        math.comb(m, k) * math.comb(n - m - 1, k - 1) * (1 << (n - m - k))
-        for k in range(1, min(m, n - m) + 1)
-    )
+    total, binomials = 0, m
+    for k in range(1, min(m, n - m) + 1):
+        total = (total << 1) + binomials
+        binomials = binomials * ((m - k) * (n - m - k)) // (k * (k + 1))
+    return total << (n - m - k)  # k ends at min(m, n - m): the loop ran, as m < n
 
 
 @dataclass(frozen=True)

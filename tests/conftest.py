@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ def tree_diameter_bfs(n, edges):
     far = max(d0, key=d0.get)
     d1 = bfs_distances(adj, far)
     return max(d1.values())
+
+
+def forest_count_by_binomials(n, m):
+    """Forests of n letters with m components: the binomial sum from the m-th
+    power of the tree generating function y + y^2/(1-2y), term by term."""
+    if m == n:
+        return 1
+    return sum(
+        comb(m, k) * comb(n - m - 1, k - 1) * 2 ** (n - m - k)
+        for k in range(1, min(m, n - m) + 1)
+    )
 
 
 def coupled(heads, first=0):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import permtree
-from permtree.cli import COUNT_MAX_N, FOREST_M_MAX_N, PMF_MAX_N, main
+from permtree.cli import COUNT_MAX_N, PMF_MAX_N, main
 from permtree.codec import count_trees
 from permtree.counting import forest_total
 from permtree.montecarlo import REGISTRY, ExperimentConfig, run_experiment
@@ -253,7 +253,7 @@ BIG = str(10**20)
     "argv",
     [
         *(("count", "--what", what, "--n", str(bound + 1)) for what, bound in COUNT_MAX_N.items()),
-        ("count", "--what", "forests", "--n", str(FOREST_M_MAX_N + 1), "--m", "2"),
+        ("count", "--what", "forests", "--n", str(COUNT_MAX_N["forests"] + 1), "--m", "2"),
         ("theory", "--stat", "leaves", "--n", str(PMF_MAX_N + 1), "--k", "3"),
         ("theory", "--stat", "diam", "--n", str(PMF_MAX_N + 1), "--k", "3"),
         # a traceback or a run without end before the bounds
@@ -273,7 +273,7 @@ def test_sizes_above_the_bounds_are_refused(run, argv):
 
 def test_the_bounds_refuse_only_what_they_name(run):
     assert run("theory", "--stat", "leaves", "--n", BIG)[0] == 0
-    assert run("count", "--what", "forests", "--n", str(FOREST_M_MAX_N + 1))[0] == 0
+    assert run("count", "--what", "forests", "--n", str(COUNT_MAX_N["forests"]), "--m", "2")[0] == 0
 
 
 def test_verify_json(run):

@@ -15,6 +15,8 @@ from permtree.counting import (
 )
 from permtree.errors import CapExceededError
 
+from conftest import forest_count_by_binomials
+
 
 @pytest.mark.parametrize("count", [indecomposable_count, forest_total, census])
 def test_sizes_below_one_are_refused(count):
@@ -45,6 +47,14 @@ def test_forest_count_examples():
         forest_count(4, 0)
     with pytest.raises(ValueError):
         forest_count(4, 5)
+
+
+def test_forest_count_walks_the_binomial_sum():
+    """The term recurrence equals the sum it replaces, term for term in total."""
+    pairs = [(n, m) for n in range(1, 61) for m in range(1, n + 1)]
+    pairs += [(3000, m) for m in (1, 2, 1499, 1500, 2999, 3000)]
+    for n, m in pairs:
+        assert forest_count(n, m) == forest_count_by_binomials(n, m), (n, m)
 
 
 @pytest.mark.parametrize("n", range(1, 30))

@@ -76,9 +76,24 @@ def _drop_first_neighbour(f):
     return lambda p: [nbrs[1:] for nbrs in f(p)]
 
 
+def _forest_count_without_its_halving(f):
+    """forest_count whose term ratio (m-k)(n-m-k) / (2k(k+1)) drops its factor 2."""
+    def forest_count(n, m):
+        if m == n:
+            return 1
+        total, term = 0, m << (n - m - 1)
+        for k in range(1, min(m, n - m) + 1):
+            total += term
+            term = term * (m - k) * (n - m - k) // (k * (k + 1))
+        return total
+
+    return forest_count
+
+
 # (check, module, attribute, mutation of the routine the check calls)
 MUTANTS = [
     (verify.CENSUS, counting, "forest_total", _off_by_one),
+    (verify.CENSUS, counting, "forest_count", _forest_count_without_its_halving),
     # a forest test that drops the 3412 half
     (verify.CENSUS, counting, "is_forest", lambda f: lambda p: not perm.pattern_flags(p)[0]),
     (verify.ROUNDTRIP, codec, "encode", lambda f: lambda p: TreeCode.from_packed(p.n, 0)),
