@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, islice
 
 from . import SCHEMA, codec, counting, cover, stats, verify
 from .codec import TreeCode, decode, enumerate_codes, sample_code
@@ -30,10 +30,14 @@ SAMPLED_STATS = ("leaves", "diam", "maxdeg", "dcensus", "gamma", "dcov", "runs")
 # of a traceback or a run that does not end.
 COUNT_MAX_N = {"trees": 10**6, "forests": 10**5, "indecomposable": 700}
 PMF_MAX_N = 5 * 10**5  # theory --stat leaves|diam --k
+# theory --stat ystar --k: above it the mean and variance are 0.0 for every n
+# argparse reads (below 10^4300), and 2^(2k+2) would only cost time and memory
+YSTAR_MAX_K = 10**5
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    # strict JSON: a NaN or an infinity is a bug and raises ValueError
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _json_pieces(doc: dict) -> Iterator[str]:
@@ -86,6 +90,11 @@ def _write(fmt: str, doc: dict, table, lines) -> None:
 
 
 def _cmd_count(args) -> int:
+    """Print one exact count; above ``COUNT_MAX_N[--what]`` the request is a usage error.
+
+    The bound is one per ``--what``: ``--what forests --m`` shares the bound
+    of ``--what forests``, since ``forest_count`` walks its terms in one pass.
+    """
     if args.m is not None and args.what != "forests":
         raise InvalidConfigError("--m applies to --what forests only")
     bound = COUNT_MAX_N[args.what]
@@ -174,8 +183,13 @@ def _cmd_sample(args) -> int:
     from . import montecarlo
 
     montecarlo.check_seed(args.seed)
+    # the bound of stats --samples: one substream index per sample
+    if args.count > montecarlo._MAX_INDEX:
+        raise InvalidConfigError("count exceeds the substream index space (2**56)")
     streams = montecarlo.substreams(args.seed, "sample", 0, args.count)
     codes = (sample_code(args.n, rng) for rng in streams)
+    # the first draw comes before any output: a size it cannot draw leaves stdout empty
+    codes = chain(list(islice(codes, 1)), codes)
     recs = ({"index": i, "code": format(c.packed, "#x"), "perm": list(decode(c).values)}
             for i, c in enumerate(codes))
     doc = {"schema": SCHEMA, "n": args.n, "seed": args.seed, "samples": recs}
@@ -188,6 +202,13 @@ def _cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 # stats (Monte Carlo experiments)
 # ---------------------------------------------------------------------------
+
+
+def _gate_line(gate: dict) -> str:
+    """A report gate as text; a gate without a value (JSON null) prints value=null."""
+    value = "null" if gate["value"] is None else format(gate["value"], ".6g")
+    verdict = "pass" if gate["pass"] else "FAIL"
+    return f"{gate['name']}: value={value} limit={gate['limit']:.6g} {verdict}"
 
 
 def _cmd_stats(args) -> int:
@@ -220,9 +241,7 @@ def _cmd_stats(args) -> int:
     else:
         table = (("test", "value", "limit", "pass"),
                  ((t["name"], t["value"], t["limit"], t["pass"]) for t in report.tests))
-    lines = chain((f"{t['name']}: value={t['value']:.6g} limit={t['limit']:.6g} "
-                   f"{'pass' if t['pass'] else 'FAIL'}" for t in report.tests),
-                  [f"verdict: {report.verdict}"])
+    lines = chain(map(_gate_line, report.tests), [f"verdict: {report.verdict}"])
     _write(args.format, vars(report), table, lines)
     return 0 if report.passed else 1
 
@@ -262,6 +281,8 @@ def _cmd_theory(args) -> int:
     elif name == "ystar":
         if args.k is None:
             raise InvalidConfigError("theory --stat ystar needs --k")
+        if args.k > YSTAR_MAX_K:
+            raise InvalidConfigError(f"theory --stat ystar refuses k above {YSTAR_MAX_K}")
         m = stats.y_star_moments(n, args.k)
         payload = {"mean": m.mean, "variance": m.variance, "k": args.k}
     elif name == "runs":

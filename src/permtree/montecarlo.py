@@ -201,7 +201,8 @@ class StatReport:
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
+        # strict JSON: a NaN or an infinity in a report is a bug and raises ValueError
+        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +600,16 @@ def normality_check(values) -> dict:
     return {"count": int(count), "ks": ks, "skewness": skew, "excess_kurtosis": kurt}
 
 
-def _test(name: str, kind: str, value: float, limit: float, **fields) -> dict:
-    """One gate of a report: it passes when ``value <= limit``."""
+def _test(name: str, kind: str, value: float | None, limit: float, **fields) -> dict:
+    """One gate of a report: it passes when ``value <= limit``; a ``None`` value fails."""
     return {"name": name, "kind": kind, "value": value, "limit": limit,
-            "pass": bool(value <= limit), **fields}
+            "pass": value is not None and bool(value <= limit), **fields}
 
 
 def _z_test(name: str, emp: float, theory: float, se: float, limit: float) -> dict:
     if se == 0.0:
-        value = 0.0 if emp == theory else math.inf
+        # no spread to scale by: off theory the z score has no value (JSON null) and fails
+        value = 0.0 if emp == theory else None
     else:
         value = abs(emp - theory) / se
     return _test(name, "z", value, limit, empirical=emp, theory=theory)

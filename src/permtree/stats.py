@@ -257,7 +257,10 @@ def maxdeg_cdf_approx(n: int, k: int) -> float:
         raise ValueError("max-degree law needs n >= 4")
     x = math.log2(n - 3)
     frac = x - math.floor(x)
-    return math.exp(-(2.0 ** (-k + 1 + frac)))
+    try:
+        return math.exp(-(2.0 ** (-k + 1 + frac)))
+    except OverflowError:  # k past the float range: the limit, 0 as k -> -inf and 1 as k -> inf
+        return 0.0 if k < 0 else 1.0
 
 
 def y_star_moments(n: int, k: int) -> Moments:

@@ -1,18 +1,26 @@
 """CLI surface: dispatch, formats, determinism, exit codes."""
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import permtree
-from permtree.cli import COUNT_MAX_N, PMF_MAX_N, main
+from permtree import cli
+from permtree.cli import COUNT_MAX_N, PMF_MAX_N, YSTAR_MAX_K, build_parser, main
 from permtree.codec import count_trees
 from permtree.counting import forest_total
 from permtree.montecarlo import REGISTRY, ExperimentConfig, run_experiment
@@ -247,6 +255,29 @@ def test_requests_that_check_or_emit_nothing_are_usage_errors(run, argv):
 
 
 BIG = str(10**20)
+CALL_LIMIT_S = 5.0
+
+
+class _CallTimedOut(Exception):
+    pass
+
+
+def _timed_out(signum, frame):
+    raise _CallTimedOut
+
+
+def _timed_main(argv):
+    """``main(argv)`` in process, stopped by SIGALRM after ``CALL_LIMIT_S``: (exit, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, CALL_LIMIT_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -256,6 +287,7 @@ BIG = str(10**20)
         ("count", "--what", "forests", "--n", str(COUNT_MAX_N["forests"] + 1), "--m", "2"),
         ("theory", "--stat", "leaves", "--n", str(PMF_MAX_N + 1), "--k", "3"),
         ("theory", "--stat", "diam", "--n", str(PMF_MAX_N + 1), "--k", "3"),
+        ("theory", "--stat", "ystar", "--n", BIG, "--k", str(YSTAR_MAX_K + 1)),
         # a traceback or a run without end before the bounds
         ("count", "--what", "trees", "--n", BIG),
         ("count", "--what", "indecomposable", "--n", BIG),
@@ -263,17 +295,60 @@ BIG = str(10**20)
         ("count", "--what", "forests", "--n", BIG, "--m", "1"),
         ("theory", "--stat", "leaves", "--n", BIG, "--k", "3"),
         ("theory", "--stat", "diam", "--n", BIG, "--k", "3"),
+        ("theory", "--stat", "ystar", "--n", BIG, "--k", str(2**63)),
     ],
 )
 def test_sizes_above_the_bounds_are_refused(run, argv):
     code, out, err = run(*argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "refuses n above" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search("refuses [nk] above", err)
 
 
 def test_the_bounds_refuse_only_what_they_name(run):
     assert run("theory", "--stat", "leaves", "--n", BIG)[0] == 0
     assert run("count", "--what", "forests", "--n", str(COUNT_MAX_N["forests"]), "--m", "2")[0] == 0
+    code, out, _ = run("theory", "--stat", "ystar", "--n", BIG, "--k", str(YSTAR_MAX_K))
+    assert code == 0 and json.loads(out)["mean"] == 0.0
+
+
+def _readme_number(text):
+    """'700', '10^6' or '5 * 10^5' as an int."""
+    value = 1
+    for factor in text.split(" * "):
+        base, _, exponent = factor.partition("^")
+        value *= int(base) ** int(exponent or 1)
+    return value
+
+
+def test_the_readme_bound_table_lists_exactly_the_cli_bounds():
+    """One README row per bound constant of ``permtree.cli``, with its value."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\|[^|]+\| [nk] = ([0-9*^ ]+?) +\| `([^`]+)` +\|", readme, re.MULTILINE)
+    listed = {constant: _readme_number(size) for size, constant in rows}
+    assert len(listed) == len(rows)
+    bounds = {}
+    for name, value in vars(cli).items():
+        if re.fullmatch("[A-Z_]+_MAX_[NK]", name):
+            entries = value.items() if isinstance(value, dict) else [(None, value)]
+            bounds.update({name if key is None else f'{name}["{key}"]': v for key, v in entries})
+    assert listed == bounds
+
+
+def test_samples_past_the_index_space_are_refused_before_any_output():
+    """The substream index space of ``stats --samples`` bounds ``sample --count``."""
+    from permtree.montecarlo import _MAX_INDEX
+
+    for argv in (("--n", "4", "--count", str(_MAX_INDEX + 1)), ("--n", BIG, "--count", "2")):
+        code, out, err = _timed_main(["sample", *argv, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_the_json_writer_refuses_non_finite_values(value):
+    with pytest.raises(ValueError):
+        cli._json({"value": value})
 
 
 def test_verify_json(run):
@@ -330,3 +405,59 @@ def test_stats_choices_are_the_registry_names_in_order():
     from permtree.montecarlo import REGISTRY
 
     assert SAMPLED_STATS == tuple(entry.cli_name for entry in REGISTRY.values())
+
+
+# ---------------------------------------------------------------------------
+# every argv: a result, or a usage error that prints nothing
+# ---------------------------------------------------------------------------
+
+ARG_INTS = st.sampled_from([-10**20, -1, 0, 1, 2, 3, 4, 2**63, 10**20])
+ARG_FLOATS = st.sampled_from(["nan", "inf", "1e-300"])
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flag_values(action):
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    return {int: ARG_INTS, float: ARG_FLOATS}[action.type]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with every required flag and some optional ones, as the parser lists them."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if action.option_strings and action.nargs != 0 and (action.required or draw(st.booleans())):
+            argv += [action.option_strings[0], str(draw(_flag_values(action)))]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(argv=_argvs())
+# a sample index past 2**56: samples without end
+@example(argv=["sample", "--n", "4", "--seed", "1", "--count", str(10**20)])
+# a size the draw cannot allocate, after the first bytes of JSON
+@example(argv=["sample", "--n", str(10**20), "--seed", "1", "--count", "1"])
+# 2^(2k+2) at k = 2^63: MemoryError
+@example(argv=["theory", "--stat", "ystar", "--n", str(10**20), "--k", str(2**63)])
+# 2.0 ** 10^20: OverflowError
+@example(argv=["theory", "--stat", "maxdeg", "--n", "4", "--k", str(-10**20)])
+# a z gate with no spread off theory: Infinity in the JSON
+@example(argv=["stats", "--stat", "leaves", "--n", "4", "--samples", "2", "--seed", "1"])
+@example(argv=["stats", "--stat", "runs", "--n", "4", "--samples", "4", "--seed", "1",
+               "--q", "1e-300"])
+def test_every_argv_ends_in_a_result_or_a_usage_error(argv):
+    code, out, err = _timed_main(argv)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1)
+        if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+            json.loads(out, parse_constant=_reject_constant)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -417,6 +419,31 @@ def test_dcensus_small_run():
     assert report.passed
     # exact mean of leaves is (n+1)/2
     assert float(report.theory["degree_means"]["1"]) == pytest.approx(50.5)
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} in a report")
+
+
+def test_a_z_gate_without_spread_off_theory_has_no_value_and_fails(capsys):
+    """No sample of a degree or window count, against a positive mean: JSON null, gate FAIL."""
+    report = run_experiment(ExperimentConfig(n=10, samples=10, seed=1, statistic="dcensus"))
+    null = [t for t in report.tests if t["value"] is None]
+    assert [t["name"] for t in null] == ["degree_count_7", "degree_count_8", "window_count_6"]
+    assert not any(t["pass"] for t in null) and report.verdict == "fail"
+    assert all(t["empirical"] == 0.0 < t["theory"] for t in null)
+    parsed = json.loads(report.to_json(), parse_constant=_no_constants)
+    assert [t["value"] for t in parsed["tests"] if t["name"] == "window_count_6"] == [None]
+    argv = ["stats", "--stat", "dcensus", "--n", "10", "--samples", "10", "--seed", "1"]
+    assert main([*argv, "--format", "text"]) == 1
+    assert "window_count_6: value=null limit=3 FAIL" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_report_value_raises(value):
+    report = run_experiment(ExperimentConfig(n=10, samples=10, seed=1, statistic="leaves"))
+    with pytest.raises(ValueError):
+        dataclasses.replace(report, empirical={**report.empirical, "mean": value}).to_json()
 
 
 def test_dcov_small_run_and_helper():

@@ -64,6 +64,15 @@ def test_arguments_outside_a_law_are_refused(call, args, message):
         call(*args)
 
 
+def test_maxdeg_cdf_past_the_float_range_is_its_limit():
+    """Where 2.0 ** (1 - k + frac) overflows, the law's limit: 0 as k -> -inf, 1 as k -> inf."""
+    for k in (-1100, -10**20, -10**400):
+        assert maxdeg_cdf_approx(5, k) == 0.0
+    for k in (1100, 10**20, 10**400):
+        assert maxdeg_cdf_approx(5, k) == 1.0
+    assert 0.0 < maxdeg_cdf_approx(5, -3) < maxdeg_cdf_approx(5, 3) < 1.0
+
+
 def test_tree_stats_examples():
     s = tree_stats(Permutation([2, 1]))
     assert (s.leaves, s.diameter, s.max_degree) == (2, 1, 1)
