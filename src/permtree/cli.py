@@ -36,27 +36,35 @@ YSTAR_MAX_K = 10**5
 
 
 def _json(obj) -> str:
-    # strict JSON: a NaN or an infinity is a bug and raises ValueError
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
+    # strict JSON: a NaN or an infinity is a bug, not a usage error, so it
+    # raises RuntimeError (a traceback) and not the ValueError main reports
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"canonical JSON: {exc}") from None
 
 
 def _json_pieces(doc: dict) -> Iterator[str]:
     """The text of ``_json(doc)`` and a newline, in pieces.
 
     A value that is an iterator becomes a JSON array written one element
-    at a time, so a long listing is never held whole.
+    at a time, so a long listing is never held whole.  Every other value
+    is encoded before the first piece: one the writer refuses leaves
+    stdout empty.
     """
+    encoded = {key: value if isinstance(value, Iterator) else _json(value)
+               for key, value in doc.items()}
     yield "{"
-    for i, key in enumerate(sorted(doc)):
+    for i, key in enumerate(sorted(encoded)):
         yield f"{', ' if i else ''}{_json(key)}: "
-        value = doc[key]
+        value = encoded[key]
         if isinstance(value, Iterator):
             yield "["
             for j, item in enumerate(value):
                 yield f"{', ' if j else ''}{_json(item)}"
             yield "]"
         else:
-            yield _json(value)
+            yield value
     yield "}\n"
 
 
@@ -183,9 +191,7 @@ def _cmd_sample(args) -> int:
     from . import montecarlo
 
     montecarlo.check_seed(args.seed)
-    # the bound of stats --samples: one substream index per sample
-    if args.count > montecarlo._MAX_INDEX:
-        raise InvalidConfigError("count exceeds the substream index space (2**56)")
+    montecarlo.check_sample_count(args.count, "count")  # the bound of stats --samples
     streams = montecarlo.substreams(args.seed, "sample", 0, args.count)
     codes = (sample_code(args.n, rng) for rng in streams)
     # the first draw comes before any output: a size it cannot draw leaves stdout empty

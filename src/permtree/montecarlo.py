@@ -106,6 +106,13 @@ def check_seed(seed: int, bits: int = 64, name: str = "seed") -> None:
         raise InvalidConfigError(f"{name} must lie in [0, 2**{bits})")
 
 
+def check_sample_count(count: int, name: str = "samples") -> None:
+    """Reject more samples than the substream index space holds: one index per sample."""
+    if count > _MAX_INDEX:
+        raise InvalidConfigError(
+            f"{name} must be at most 2**{_MAX_INDEX.bit_length() - 1}, the substream index space")
+
+
 def _integer(value, name: str) -> int:
     """``value`` as a Python int; a bool or a non-integer raises ``TypeError``."""
     if isinstance(value, bool):
@@ -152,8 +159,7 @@ class ExperimentConfig:
         check_seed(self.seed)
         if self.samples < 1:
             raise InvalidConfigError("samples must be >= 1")
-        if self.samples > _MAX_INDEX:
-            raise InvalidConfigError("samples exceed the substream index space")
+        check_sample_count(self.samples)
         if self.workers < 1:
             raise InvalidConfigError("workers must be >= 1")
         if "q" in entry.params and (self.q is None or not 0.0 < self.q < 1.0):
@@ -723,9 +729,10 @@ def _scalar_law_report(
     se_mean = math.sqrt(var / count) if count > 1 else 0.0
     tests = [_z_test("mean", mean, th_mean, se_mean, TOLERANCES["z_limit"])]
     stat, dof = chi_square(hist, pmf)
-    # with no degree of freedom only stat == 0.0 passes: stat is >= 0 or inf
+    # with no degree of freedom only stat == 0.0 passes; a sample the law
+    # gives no mass (stat inf) has no statistic: JSON null, and the gate fails
     limit = float(chdtri(dof, 1.0 - TOLERANCES["chi2_quantile"])) if dof >= 1 else 0.0
-    tests.append(_test("law_chi2", "chi2", stat, limit, dof=dof))
+    tests.append(_test("law_chi2", "chi2", None if math.isinf(stat) else stat, limit, dof=dof))
     empirical = {
         "mean": mean,
         "variance": var,

@@ -439,6 +439,23 @@ def test_a_z_gate_without_spread_off_theory_has_no_value_and_fails(capsys):
     assert "window_count_6: value=null limit=3 FAIL" in capsys.readouterr().out.splitlines()
 
 
+def test_a_sample_the_law_gives_no_mass_has_no_chi2_statistic_and_fails(monkeypatch, capsys):
+    """An observation off the law's support (a sampler or law bug): JSON null, gate FAIL, exit 1."""
+    from permtree import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_binomial_pmf_window", lambda n, values, mean, sd: {n + 5: 1.0})
+    report = run_experiment(ExperimentConfig(n=10, samples=50, seed=1, statistic="leaves"))
+    chi = next(t for t in report.tests if t["name"] == "law_chi2")
+    assert chi["value"] is None and chi["pass"] is False and report.verdict == "fail"
+    parsed = json.loads(report.to_json(), parse_constant=_no_constants)
+    argv = ["stats", "--stat", "leaves", "--n", "10", "--samples", "50", "--seed", "1"]
+    assert main([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out, parse_constant=_no_constants) == parsed
+    assert main([*argv, "--format", "text"]) == 1
+    assert any(line.startswith("law_chi2: value=null ") and line.endswith(" FAIL")
+               for line in capsys.readouterr().out.splitlines())
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_report_value_raises(value):
     report = run_experiment(ExperimentConfig(n=10, samples=10, seed=1, statistic="leaves"))
